@@ -303,12 +303,15 @@ def bench_batched_small_graph_sweep():
 def _sharded_bench_task(side: int, rounds: int):
     """A fixed-budget Algorithm-B round-loop workload on a side×side grid.
 
-    The labeling is synthetic (x1 = 1, x2 = 0 everywhere): at these sizes the
-    paper's λ construction costs minutes, and the engine executes any label
-    bits identically, so a deterministic wave workload isolates exactly what
-    this benchmark measures — the per-round O(n) decision kernels that keep a
-    single large instance bound to one core.  ``stop_rule=None`` pins both
-    engines to the same round count.
+    The labeling is synthetic (x1 = 1, x2 = 0 everywhere).  Time is no
+    longer what rules out the paper's λ here — a 224×224 grid (n = 50,176,
+    ℓ = 447 stages) labels in 0.7 s on a 2-core x86 VM — but memory is: every
+    stage keeps its own INF/UNINF frozensets, O(ℓ·n) set entries, and that
+    grid already peaks at about 1 GB, growing as n^1.5 on grids.  The engine
+    executes any label bits identically, so a deterministic wave workload
+    isolates exactly what this benchmark measures — the per-round O(n)
+    decision kernels that keep a single large instance bound to one core.
+    ``stop_rule=None`` pins both engines to the same round count.
     """
     from repro.backends.base import SimulationTask
     from repro.graphs import grid_graph

@@ -10,7 +10,10 @@ The statistical kernel (:func:`compute_stats`) is shared by
 ``ResultSet.aggregate``, the streaming aggregator and the service
 coordinator's ``aggregate`` frames, so all three surfaces return *identical*
 numbers for the same rows — including the bootstrap confidence interval,
-which resamples with a fixed-seed generator over the values in row order.
+which resamples with a fixed-seed generator over the sorted values.  Groups
+are reported in sorted key order and each group's values are sorted before
+the statistics are taken, so an answer depends only on the *multiset* of
+rows, never on the order a store or a worker pool delivered them in.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ def compute_stats(
     which is how an all-``None`` optional column aggregates without tripping
     on an empty percentile input.  With ``ci=True`` a seeded bootstrap over
     the mean adds ``ci95_low``/``ci95_high`` (:data:`BOOTSTRAP_RESAMPLES`
-    resamples; deterministic for a given row order).
+    resamples).  The values are sorted first, so every statistic is the same
+    for any order of the same values.
     """
-    values = np.asarray(values)
+    values = np.sort(np.asarray(values))
     if values.size == 0:
         nan = float("nan")
         out: Dict[str, float] = {
@@ -133,13 +137,22 @@ def compute_stats(
     return out
 
 
+def _group_order(key: Tuple) -> Tuple:
+    """Sort key of a group key tuple: by value, missing cells (``None``/NaN) last.
+
+    Every grouping column holds one type, so the values compare; a missing
+    cell sorts after every present one.
+    """
+    return tuple((True, 0) if v is None or v != v else (False, v) for v in key)
+
+
 class StreamAggregator:
     """Accumulate one numeric column, grouped, from a stream of row dicts.
 
     Memory is O(groups + values of the aggregated column): the group keys and
     the aggregated values are retained (percentiles are exact, not sketched),
     every other column of every row is dropped on sight.  Groups report in
-    first-seen order, matching ``ResultSet.groupby``.
+    sorted key order (see :func:`_group_order`).
     """
 
     def __init__(
@@ -169,9 +182,10 @@ class StreamAggregator:
             bucket.append(value)
 
     def result(self) -> List[Dict[str, Any]]:
-        """Per-group stats, first-seen order: ``[{"by": {...}, "stats": {...}}]``."""
+        """Per-group stats, key order: ``[{"by": {...}, "stats": {...}}]``."""
         out = []
-        for key, values in self._groups.items():
+        for key in sorted(self._groups, key=_group_order):
+            values = self._groups[key]
             array = np.asarray(values, dtype=np.int64) if values else \
                 np.empty(0, dtype=np.int64)
             out.append({
@@ -214,8 +228,8 @@ def aggregate_result_set(
 
     Touches only the ``by`` columns and the aggregated column — against a
     lazy columnar-backed result set this reads exactly those column blocks.
-    Output shape and numbers match :func:`stream_aggregate` over the same
-    rows.
+    Output shape, group order and numbers match :func:`stream_aggregate`
+    over the same rows, in any order.
     """
     column = resolve_column(column)
     by = tuple(resolve_column(b, numeric=False) for b in by)
@@ -226,6 +240,7 @@ def aggregate_result_set(
         ]
     else:
         items = [((), rows)]
+    items.sort(key=lambda item: _group_order(item[0]))
     return [
         {"by": dict(zip(by, key)),
          "stats": sub.aggregate(column, ci=ci, seed=seed)}

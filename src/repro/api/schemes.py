@@ -48,6 +48,7 @@ from ..core.labeling import (
     lambda_ack_scheme,
     lambda_arb_scheme,
     lambda_scheme,
+    shared_construction,
 )
 from ..core.outcome import Outcome
 from ..core.protocols.acknowledged import make_acknowledged_node
@@ -288,8 +289,12 @@ class LambdaScheme(Scheme):
     kind = "paper"
     description = "2-bit λ labels + universal Algorithm B (≤ 2n−3 rounds)"
 
-    def build_labels(self, graph, source, *, labeling=None, strategy="prune", **_):
-        lab = labeling if labeling is not None else lambda_scheme(graph, source, strategy=strategy)
+    def build_labels(self, graph, source, *, labeling=None, strategy="prune",
+                     _constructions=None, **_):
+        lab = labeling if labeling is not None else lambda_scheme(
+            graph, source, strategy=strategy,
+            construction=shared_construction(graph, source, strategy, _constructions),
+        )
         if lab.scheme != "lambda":
             raise GraphError(f"run_broadcast expects a λ labeling, got {lab.scheme!r}")
         return _labels_from_labeling(lab)
@@ -337,9 +342,11 @@ class LambdaAckScheme(Scheme):
     kind = "paper"
     description = "3-bit λ_ack labels + acknowledged broadcast B_ack (≤ t+n−2)"
 
-    def build_labels(self, graph, source, *, labeling=None, strategy="prune", **_):
+    def build_labels(self, graph, source, *, labeling=None, strategy="prune",
+                     _constructions=None, **_):
         lab = labeling if labeling is not None else lambda_ack_scheme(
-            graph, source, strategy=strategy
+            graph, source, strategy=strategy,
+            construction=shared_construction(graph, source, strategy, _constructions),
         )
         if lab.scheme != "lambda_ack":
             raise GraphError(

@@ -96,6 +96,25 @@ class Labeling:
         return dict(self.labels)
 
 
+def shared_construction(
+    graph: Graph,
+    root: int,
+    strategy: str,
+    memo: Optional[Dict[Tuple[int, str], SequenceConstruction]] = None,
+) -> SequenceConstruction:
+    """The Section 2.1 construction for ``(graph, root, strategy)``, built once.
+
+    ``memo`` caches constructions of *one* graph by ``(root, strategy)``, so
+    the λ and λ_ack labelings of an instance (same graph, same source) share
+    a single construction; without a memo the construction is built afresh.
+    """
+    memo = {} if memo is None else memo
+    key = (root, strategy)
+    if key not in memo:
+        memo[key] = build_sequences(graph, root, strategy)
+    return memo[key]
+
+
 # --------------------------------------------------------------------------- #
 # λ — Section 2.2
 # --------------------------------------------------------------------------- #
@@ -168,6 +187,7 @@ def lambda_ack_scheme(
     source: int,
     *,
     strategy: str = "prune",
+    construction: Optional[SequenceConstruction] = None,
 ) -> Labeling:
     """Compute the 3-bit labeling scheme λ_ack for ``(graph, source)``.
 
@@ -176,10 +196,14 @@ def lambda_ack_scheme(
     pick the smallest-index such node so the scheme is deterministic.  For the
     degenerate single-node and two-node graphs the acknowledger is the unique
     non-source node (or the source itself when it is alone).
+
+    ``construction`` is a pre-computed sequence construction for
+    ``(graph, source)`` to reuse, as in :func:`lambda_scheme`.
     """
-    base = lambda_scheme(graph, source, strategy=strategy)
+    base = lambda_scheme(graph, source, strategy=strategy, construction=construction)
     seq = base.construction
-    assert seq is not None
+    if seq is None:
+        raise GraphError("the λ labeling carries no sequence construction")
 
     last = seq.last_informed_nodes()
     if last:

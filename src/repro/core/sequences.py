@@ -14,8 +14,17 @@ from five sequences of node sets, indexed by stage ``i ≥ 1``:
 The construction stops at the smallest ``ℓ`` with ``INF_ℓ = V(G)``.  This
 module computes the sequences, exposes them as immutable :class:`Stage`
 records, and implements every structural fact the paper proves about them
-(Facts 2.1–2.2, Lemmas 2.3–2.6, Corollary 2.7) as checkable assertions used by
-the test-suite and by :mod:`repro.core.verify`.
+(Facts 2.1–2.2, Lemmas 2.3–2.6, Corollary 2.7) as checks that raise
+:class:`~repro.graphs.graph.GraphError`, used by the test-suite.
+
+Cost of stage ``i``: the frontier is updated incrementally,
+``FRONTIER_i = (FRONTIER_{i-1} − NEW_{i-1}) ∪ (Γ(NEW_{i-1}) ∩ UNINF_i)``, which
+costs ``O(Σ_{v ∈ NEW_{i-1}} deg(v) + |FRONTIER_{i-1}|)``; choosing ``DOM_i`` and
+``NEW_i`` costs ``O(Σ_{t ∈ FRONTIER_i} deg(t))`` (see
+:mod:`repro.core.domination`).  Over the whole construction the
+neighbourhood scans touch every edge ``O(1)`` times per stage its endpoint
+spends on the frontier.  Each stage also stores ``INF_i`` and ``UNINF_i`` as
+their own frozensets, an ``O(n)`` C-level copy per stage.
 """
 
 from __future__ import annotations
@@ -148,59 +157,62 @@ class SequenceConstruction:
     # structural facts from the paper, as checkable predicates
     # ------------------------------------------------------------------ #
     def check_invariants(self) -> None:
-        """Assert every structural fact of Section 2.1; raise AssertionError otherwise.
+        """Check every structural fact of Section 2.1; raise GraphError otherwise.
 
         Covers Fact 2.1, Fact 2.2, Lemma 2.3, Lemma 2.4, Lemma 2.6 and
-        Corollary 2.7 plus the defining properties of each stage.
+        Corollary 2.7 plus the defining properties of each stage.  The checks
+        are explicit raises, not ``assert`` statements, so they also run
+        under ``python -O``.
         """
+
+        def require(ok: bool, message: str) -> None:
+            if not ok:
+                raise GraphError(message)
+
         g = self.graph
         all_nodes = frozenset(range(g.n))
         ell = self.ell
-        assert ell <= max(g.n, 1), f"Lemma 2.6 violated: ell={ell} > n={g.n}"
+        require(ell <= max(g.n, 1), f"Lemma 2.6 violated: ell={ell} > n={g.n}")
         seen_new: set = set()
         for idx, stage in enumerate(self.stages, start=1):
-            assert stage.index == idx
+            require(stage.index == idx, f"stage {idx} carries index {stage.index}")
             # Fact 2.1: NEW_i ⊆ FRONTIER_i ⊆ UNINF_i
-            assert stage.new <= stage.frontier <= stage.uninformed, (
-                f"Fact 2.1 violated at stage {idx}"
-            )
+            require(stage.new <= stage.frontier <= stage.uninformed,
+                    f"Fact 2.1 violated at stage {idx}")
             # Fact 2.2: INF_i = {source} ∪ NEW_1 ∪ ... ∪ NEW_{i-1}, UNINF_i is its complement
-            assert stage.informed == frozenset({self.source}) | frozenset(seen_new), (
-                f"Fact 2.2 violated at stage {idx}"
-            )
-            assert stage.uninformed == all_nodes - stage.informed
+            require(stage.informed == frozenset({self.source}) | frozenset(seen_new),
+                    f"Fact 2.2 violated at stage {idx}")
+            require(stage.uninformed == all_nodes - stage.informed,
+                    f"UNINF_{idx} is not the complement of INF_{idx}")
             # FRONTIER_i = UNINF_i ∩ Γ(INF_i)
-            assert stage.frontier == stage.uninformed & g.neighborhood(stage.informed), (
-                f"frontier definition violated at stage {idx}"
-            )
+            require(stage.frontier == stage.uninformed & g.neighborhood(stage.informed),
+                    f"frontier definition violated at stage {idx}")
             # DOM_i dominates FRONTIER_i and is minimal
             for t in stage.frontier:
-                assert g.neighbors(t) & stage.dom, f"DOM_{idx} fails to dominate {t}"
+                require(bool(g.neighbors(t) & stage.dom),
+                        f"DOM_{idx} fails to dominate {t}")
             for v in stage.dom:
                 rest = stage.dom - {v}
-                assert not all(g.neighbors(t) & rest for t in stage.frontier), (
-                    f"DOM_{idx} is not minimal: {v} is redundant"
-                )
+                require(not all(g.neighbors(t) & rest for t in stage.frontier),
+                        f"DOM_{idx} is not minimal: {v} is redundant")
             # NEW_i = frontier nodes with exactly one DOM_i neighbour
             expected_new = frozenset(
                 t for t in stage.frontier if len(g.neighbors(t) & stage.dom) == 1
             )
-            assert stage.new == expected_new, f"NEW_{idx} mismatch"
+            require(stage.new == expected_new, f"NEW_{idx} mismatch")
             # Lemma 2.3: NEW sets are pairwise disjoint
-            assert not (stage.new & seen_new), f"Lemma 2.3 violated at stage {idx}"
+            require(not (stage.new & seen_new), f"Lemma 2.3 violated at stage {idx}")
             seen_new |= stage.new
             # Lemma 2.4: progress while not finished
             if stage.informed != all_nodes:
-                assert stage.new, f"Lemma 2.4 violated at stage {idx}: no progress"
+                require(bool(stage.new), f"Lemma 2.4 violated at stage {idx}: no progress")
         final = self.stages[-1]
-        assert final.informed == all_nodes, "construction stopped before INF = V"
-        assert not final.new and not final.dom and not final.frontier, (
-            "final stage must have empty FRONTIER/DOM/NEW sets"
-        )
+        require(final.informed == all_nodes, "construction stopped before INF = V")
+        require(not final.new and not final.dom and not final.frontier,
+                "final stage must have empty FRONTIER/DOM/NEW sets")
         # Corollary 2.7: NEW_1..NEW_{ℓ-1} partition V \ {source}
-        assert frozenset(seen_new) == all_nodes - {self.source}, (
-            "Corollary 2.7 violated: NEW sets do not partition V \\ {source}"
-        )
+        require(frozenset(seen_new) == all_nodes - {self.source},
+                "Corollary 2.7 violated: NEW sets do not partition V \\ {source}")
 
 
 def build_sequences(
@@ -247,7 +259,7 @@ def build_sequences(
     new = frontier  # every neighbour of the unique transmitter hears it
     stages.append(Stage(1, informed, uninformed, frontier, dom, new))
 
-    prev_dom, prev_new = dom, new
+    prev_dom, prev_new, prev_frontier = dom, new, frontier
     prev_informed, prev_uninformed = informed, uninformed
     i = 1
     while True:
@@ -259,7 +271,10 @@ def build_sequences(
                 Stage(i, informed, uninformed, frozenset(), frozenset(), frozenset())
             )
             break
-        frontier = uninformed & graph.neighborhood(informed)
+        # Γ(INF_i) = Γ(INF_{i-1}) ∪ Γ(NEW_{i-1}), so only NEW_{i-1}'s
+        # neighbourhood is new: FRONTIER_i = (FRONTIER_{i-1} − NEW_{i-1}) ∪
+        # (Γ(NEW_{i-1}) ∩ UNINF_i).
+        frontier = (prev_frontier - prev_new) | (graph.neighborhood(prev_new) & uninformed)
         candidates = prev_dom | prev_new
         dom = minimal_dominating_subset(graph, candidates, frontier, strategy=strategy)
         new = frozenset(
@@ -271,7 +286,7 @@ def build_sequences(
                 "sequence construction exceeded n+1 stages — this contradicts "
                 "Lemma 2.6 and indicates a bug"
             )
-        prev_dom, prev_new = dom, new
+        prev_dom, prev_new, prev_frontier = dom, new, frontier
         prev_informed, prev_uninformed = informed, uninformed
 
     return SequenceConstruction(graph, source, tuple(stages), strategy)

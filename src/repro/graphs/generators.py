@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -308,10 +308,10 @@ def random_gnp_graph(n: int, p: float, seed: SeedLike = None, *, connect: bool =
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    mask = rng.random((n, n)) < p
-    iu, ju = np.triu_indices(n, k=1)
-    sel = mask[iu, ju]
-    edges = list(zip(iu[sel].tolist(), ju[sel].tolist()))
+    edges: List[Tuple[int, int]] = []
+    for start, stop in _row_blocks(n):
+        # Rows start..stop-1 of the n×n uniform matrix, in stream order.
+        _append_upper(edges, rng.random((stop - start, n)) < p, start)
     g = Graph.from_edges(n, edges)
     if connect and not is_connected(g):
         g = _connect_components(g, rng)
@@ -373,12 +373,11 @@ def random_geometric_graph(
         raise GraphError(f"radius must be positive, got {radius}")
     rng = make_rng(seed)
     pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    mask = dist2 <= radius * radius
-    iu, ju = np.triu_indices(n, k=1)
-    sel = mask[iu, ju]
-    edges = list(zip(iu[sel].tolist(), ju[sel].tolist()))
+    edges: List[Tuple[int, int]] = []
+    for start, stop in _row_blocks(n):
+        diff = pts[start:stop, None, :] - pts[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        _append_upper(edges, dist2 <= radius * radius, start)
     g = Graph.from_edges(n, edges)
     if connect and not is_connected(g):
         g = _connect_components(g, rng)
@@ -430,6 +429,25 @@ def random_connected_graph(n: int, extra_edge_prob: float = 0.1, seed: SeedLike 
             if not tree.has_edge(u, v) and rng.random() < extra_edge_prob:
                 extra.append((u, v))
     return tree.add_edges(extra)
+
+
+#: Matrix entries per row block of the dense random generators: the n×n
+#: draws are made ``_BLOCK_ENTRIES // n`` rows at a time, so no temporary
+#: grows with n² (a few MB per block instead of hundreds at n = 4096).
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(n: int) -> Iterator[Tuple[int, int]]:
+    """``[start, stop)`` row ranges covering ``0..n-1`` in order."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        yield start, min(n, start + rows)
+
+
+def _append_upper(edges: List[Tuple[int, int]], mask: np.ndarray, start: int) -> None:
+    """Append the ``j > i`` entries of rows ``start..`` of a mask, row-major."""
+    iu, ju = np.nonzero(np.triu(mask, k=start + 1))
+    edges.extend(zip((iu + start).tolist(), ju.tolist()))
 
 
 def _connect_components(g: Graph, rng: np.random.Generator) -> Graph:

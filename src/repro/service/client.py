@@ -195,7 +195,7 @@ class ServiceClient:
         kernel the local paths use, so the groups returned here are equal to
         ``aggregate_result_set(filter_result_set(store.rows(), ...), ...)``
         against the same store.  Returns ``[{"by": {...}, "stats": {...}}]``
-        in first-seen group order; ``self.last_summary`` reports
+        in sorted group-key order; ``self.last_summary`` reports
         ``{"rows_seen", "groups"}``.
         """
         frame: Dict[str, Any] = {"type": "aggregate", "column": column}

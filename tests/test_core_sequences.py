@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import build_sequences
@@ -57,6 +59,16 @@ class TestConstructionProperties:
     def test_all_invariants(self, graph, source):
         seq = build_sequences(graph, source)
         seq.check_invariants()
+
+    def test_corrupted_stage_raises_graph_error(self):
+        # Explicit raises, not asserts: the check also holds under python -O.
+        seq = build_sequences(grid_graph(4, 4), 0)
+        stage = seq.stage(2)
+        extra = min(stage.frontier - stage.new)
+        bad = replace(stage, new=stage.new | {extra})
+        corrupted = replace(seq, stages=(seq.stages[0], bad) + seq.stages[2:])
+        with pytest.raises(GraphError, match="NEW_2 mismatch"):
+            corrupted.check_invariants()
 
     def test_ell_at_most_n(self):
         for n in (2, 5, 9, 16):

@@ -13,6 +13,8 @@ to an uninterrupted run — for jobs 1/2/3 and independent of --batch-size.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.analysis.executor import GridExecutionError
@@ -56,6 +58,28 @@ def backend_calls(monkeypatch):
 
     monkeypatch.setattr(ReferenceBackend, "run_task", counting)
     return calls
+
+
+def _gate_instance(monkeypatch, gate, instance):
+    """Hold back every cell of ``instance`` until the file ``gate`` exists.
+
+    Patches instance materialization; pool workers are forked, so the patch
+    reaches them.  ``gate.touch()`` opens the gate.
+    """
+    from repro.analysis import sweep
+
+    original = sweep.materialize_instance
+
+    def gated(config, family, size, rep):
+        if (family, size, rep) == tuple(instance):
+            deadline = time.monotonic() + 60
+            while not gate.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"gate {gate} was never opened")
+                time.sleep(0.005)
+        return original(config, family, size, rep)
+
+    monkeypatch.setattr(sweep, "materialize_instance", gated)
 
 
 # --------------------------------------------------------------------------- #
@@ -119,13 +143,19 @@ class TestStreaming:
 # --------------------------------------------------------------------------- #
 class TestStoreBackedGrids:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_abandoned_sweep_resumes_bit_identical(self, tmp_path, jobs):
+    def test_abandoned_sweep_resumes_bit_identical(self, tmp_path, monkeypatch,
+                                                   jobs):
         baseline = run_grid(FAULT_CFG)
         total = len(baseline)
+        # The last instance's cells wait for the gate, so a fast pool cannot
+        # finish (and persist) the whole grid before the consumer "crashes".
+        gate = tmp_path / "gate"
+        _gate_instance(monkeypatch, gate, grid_row_specs(FAULT_CFG)[-1][:3])
         with ResultStore(tmp_path / "s") as store:
             stream = iter_grid(FAULT_CFG, jobs=jobs, ordered=True, store=store,
                                chunk_size=2)
             consumed = [next(stream) for _ in range(total // 3)]
+            gate.touch()  # let the held-back worker finish; its rows are dropped
             stream.close()  # the driver "crashes" mid-grid
             persisted = len(store)
         assert consumed == baseline[: len(consumed)]

@@ -394,13 +394,9 @@ class TestAggregates:
                     client.aggregate("no_such_column")
                 # The connection survives a rejected aggregate.
                 assert client.ping()
-        # Group order follows row order, which differs between a live store
-        # (insertion order) and a reopened one (shard order) — the per-group
-        # statistics must match exactly either way.
-        def by_scheme(groups):
-            return sorted(groups, key=lambda g: g["by"]["scheme"])
-
-        assert by_scheme(columnar_answer) == by_scheme(jsonl_answer)
+        # Row order differs between a live store (insertion order) and a
+        # reopened one (shard order); groups come in key order either way.
+        assert columnar_answer == jsonl_answer
 
 
 # --------------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ import pytest
 
 from repro.analysis.stream import (
     StreamAggregator,
+    _group_order,
     aggregate_result_set,
     compute_stats,
     filter_result_set,
@@ -341,15 +342,27 @@ class TestStreamingAggregation:
         # Seeded bootstrap: deterministic for a given value order.
         assert stats == compute_stats(np.arange(100), ci=True)
 
-    def test_aggregator_groups_in_first_seen_order(self):
-        agg = StreamAggregator("completion_round", ("scheme",))
-        for scheme, value in [("b", 4), ("a", 2), ("b", 6), ("a", None)]:
-            agg.add({"scheme": scheme, "completion_round": value})
-        out = agg.result()
-        assert [g["by"]["scheme"] for g in out] == ["b", "a"]
-        assert out[0]["stats"]["mean"] == 5.0
-        assert out[1]["stats"]["count"] == 1  # None cells are skipped
-        assert agg.rows_seen == 4
+    def test_aggregator_groups_in_key_order(self):
+        cells = [("b", 4), ("a", 2), ("b", 6), ("a", None), ("b", 1)]
+        answers = []
+        for order in (cells, cells[::-1], cells[2:] + cells[:2]):
+            agg = StreamAggregator("completion_round", ("scheme",), ci=True)
+            for scheme, value in order:
+                agg.add({"scheme": scheme, "completion_round": value})
+            answers.append(agg.result())
+            assert agg.rows_seen == 5
+        out = answers[0]
+        assert [g["by"]["scheme"] for g in out] == ["a", "b"]
+        assert out[0]["stats"]["count"] == 1  # None cells are skipped
+        assert out[1]["stats"]["mean"] == 11 / 3
+        # Groups and statistics (bootstrap CI included) ignore row order.
+        assert answers[1] == answers[2] == out
+
+    def test_group_order_puts_missing_cells_last(self):
+        keys = [("b", None), ("a", 3), (None, 1), ("a", 1)]
+        assert sorted(keys, key=_group_order) == [
+            ("a", 1), ("a", 3), ("b", None), (None, 1)]
+        assert _group_order((float("nan"),)) == _group_order((None,))
 
     def test_column_resolution_and_aliases(self):
         assert resolve_column("rounds") == "completion_round"
