@@ -69,7 +69,7 @@ def is_proper_coloring(graph: Graph, colours: Dict[int, int]) -> bool:
     """Check that no edge joins two equal-coloured nodes and every node is coloured."""
     if set(colours) != set(range(graph.n)):
         return False
-    return all(colours[u] != colours[v] for u, v in graph.edge_set)
+    return all(colours[u] != colours[v] for u, v in graph.edges())
 
 
 def color_classes(colours: Dict[int, int]) -> List[List[int]]:

@@ -308,11 +308,12 @@ def random_gnp_graph(n: int, p: float, seed: SeedLike = None, *, connect: bool =
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    edges: List[Tuple[int, int]] = []
-    for start, stop in _row_blocks(n):
+    pairs = [
         # Rows start..stop-1 of the n×n uniform matrix, in stream order.
-        _append_upper(edges, rng.random((stop - start, n)) < p, start)
-    g = Graph.from_edges(n, edges)
+        _upper_pairs(rng.random((stop - start, n)) < p, start)
+        for start, stop in _row_blocks(n)
+    ]
+    g = Graph._from_canonical(n, *_concat_pairs(pairs))
     if connect and not is_connected(g):
         g = _connect_components(g, rng)
     return g
@@ -373,12 +374,7 @@ def random_geometric_graph(
         raise GraphError(f"radius must be positive, got {radius}")
     rng = make_rng(seed)
     pts = rng.random((n, 2))
-    edges: List[Tuple[int, int]] = []
-    for start, stop in _row_blocks(n):
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        _append_upper(edges, dist2 <= radius * radius, start)
-    g = Graph.from_edges(n, edges)
+    g = Graph._from_canonical(n, *_geometric_pairs(pts, radius))
     if connect and not is_connected(g):
         g = _connect_components(g, rng)
     return g
@@ -431,10 +427,16 @@ def random_connected_graph(n: int, extra_edge_prob: float = 0.1, seed: SeedLike 
     return tree.add_edges(extra)
 
 
-#: Matrix entries per row block of the dense random generators: the n×n
-#: draws are made ``_BLOCK_ENTRIES // n`` rows at a time, so no temporary
-#: grows with n² (a few MB per block instead of hundreds at n = 4096).
+#: Matrix entries per row block of the dense random generators (pairs per
+#: block of the geometric band sweep): the n×n draws are made
+#: ``_BLOCK_ENTRIES // n`` rows at a time, so no temporary grows with n² (a
+#: few MB per block instead of hundreds at n = 4096).
 _BLOCK_ENTRIES = 1 << 18
+
+#: Added to the radius when taking the x-band and the y-filter of candidate
+#: pairs, so that they keep every pair within the radius despite float
+#: rounding (coordinates lie in [0, 1), where rounding errors are ~1e-16).
+_BAND_SLACK = 1e-9
 
 
 def _row_blocks(n: int) -> Iterator[Tuple[int, int]]:
@@ -444,10 +446,59 @@ def _row_blocks(n: int) -> Iterator[Tuple[int, int]]:
         yield start, min(n, start + rows)
 
 
-def _append_upper(edges: List[Tuple[int, int]], mask: np.ndarray, start: int) -> None:
-    """Append the ``j > i`` entries of rows ``start..`` of a mask, row-major."""
-    iu, ju = np.nonzero(np.triu(mask, k=start + 1))
-    edges.extend(zip((iu + start).tolist(), ju.tolist()))
+def _upper_pairs(mask: np.ndarray, start: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` of the ``j > i`` entries of rows ``start..`` of a mask, row-major."""
+    i, j = np.nonzero(mask)
+    i += start
+    upper = j > i
+    return i[upper], j[upper]
+
+
+def _concat_pairs(pairs: List[Tuple[np.ndarray, np.ndarray]]) -> Tuple[np.ndarray, np.ndarray]:
+    if not pairs:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate([i for i, _ in pairs]), np.concatenate([j for _, j in pairs])
+
+
+def _geometric_pairs(pts: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major ``(lo, hi)`` pairs of points at distance at most ``radius``.
+
+    The points are sorted by x, and each point is only compared with the
+    points after it in that order whose x lies within the radius (a band
+    found with ``searchsorted``), ``_BLOCK_ENTRIES`` candidate pairs at a
+    time.  Candidates whose y differs by more than the radius are dropped
+    first; each remaining pair is decided exactly as the dense n×n comparison
+    did: ``pts[lo] - pts[hi]`` squared and summed by the same ``einsum``,
+    compared ``<= radius * radius``.
+    """
+    n = len(pts)
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
+    band = radius + _BAND_SLACK
+    # Sorted position a is paired with positions a+1 .. stop[a]-1.
+    stop = np.searchsorted(xs, xs + band, side="right")
+    counts = stop - np.arange(1, n + 1)
+    ends = np.cumsum(counts)  # candidate pairs of positions 0..a
+    r2 = radius * radius
+    pairs = []
+    a0 = 0
+    while a0 < n:
+        base = int(ends[a0 - 1]) if a0 else 0
+        a1 = max(a0 + 1, int(np.searchsorted(ends, base + _BLOCK_ENTRIES, side="right")))
+        c = counts[a0:a1]
+        a = np.repeat(np.arange(a0, a1), c)
+        b = a + 1 + np.arange(len(a)) - np.repeat(ends[a0:a1] - c - base, c)
+        close = np.abs(np.repeat(ys[a0:a1], c) - ys[b]) <= band
+        u, v = order[a[close]], order[b[close]]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        diff = pts[lo] - pts[hi]
+        near = np.einsum("ij,ij->i", diff, diff) <= r2
+        pairs.append((lo[near], hi[near]))
+        a0 = a1
+    lo, hi = _concat_pairs(pairs)
+    row_major = np.lexsort((hi, lo))
+    return lo[row_major], hi[row_major]
 
 
 def _connect_components(g: Graph, rng: np.random.Generator) -> Graph:

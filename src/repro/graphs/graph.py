@@ -7,9 +7,17 @@ deliberately small, immutable after construction, and cheap to query:
 
 * nodes are integers ``0..n-1`` (a separate :attr:`Graph.names` mapping keeps
   arbitrary user-facing identifiers when graphs are read from files);
-* adjacency is stored both as frozensets (exact set queries, used heavily by
-  the sequence construction of Section 2.1) and as a CSR-like pair of NumPy
-  arrays (vectorised neighbourhood sweeps in the simulator hot loop);
+* the primary form is CSR: an ``indptr``/``indices`` pair of ``int64``
+  arrays with every neighbour list sorted (vectorised neighbourhood sweeps in
+  the simulator hot loop).  It is built from canonical ``(lo, hi)`` edge
+  arrays with one stable sort and ``np.bincount``, so building a graph does
+  no per-edge work on Python objects;
+* the per-node neighbour frozensets (exact set queries, used by the Section
+  2.1 construction and by the BFS in :mod:`.traversal`) and
+  :attr:`Graph.edge_set`, the frozenset of ``(u, v)`` tuples, are views built
+  from the CSR arrays on first use and then cached.  Equality, hashing and
+  :attr:`Graph.num_edges` read the arrays, so a sweep never builds the edge
+  set;
 * hashing/equality are structural so graphs can be deduplicated in sweeps.
 
 The class intentionally does not support mutation: the labeling schemes of the
@@ -20,8 +28,20 @@ assemble a graph incrementally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import operator
+from functools import cached_property
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -42,7 +62,62 @@ def _normalise_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _pair_arrays(pairs: Sequence) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The ``(u, v)`` int64 columns of a list of integer pairs, else ``None``."""
+    if not pairs:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    try:
+        arr = np.asarray(pairs)
+        if arr.dtype.kind not in "iu":  # e.g. NumPy and Python ints mixed
+            arr = np.array([[operator.index(x) for x in pair] for pair in pairs])
+    except (TypeError, ValueError, OverflowError):  # ragged or non-integer
+        return None
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        return None
+    arr = arr.astype(np.int64, copy=False)
+    return arr[:, 0], arr[:, 1]
+
+
+def _valid(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """True iff every pair joins two distinct nodes of ``0..n-1``."""
+    return not ((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)).any()
+
+
+def _raise_invalid(n: int, pairs: Iterable) -> NoReturn:
+    """Raise for the first invalid pair, checking range before self-loops."""
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+        if u == v:
+            raise GraphError(f"self-loop at node {u} is not allowed")
+    raise GraphError("edges must be pairs of integer node indices")
+
+
+def _check_sizes(n: int, names: Optional[Sequence[str]]) -> None:
+    if n < 0:
+        raise GraphError(f"node count must be non-negative, got {n}")
+    if names is not None and len(names) != n:
+        raise GraphError(f"names has {len(names)} entries but the graph has {n} nodes")
+
+
+def _sort_unique(n: int, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Valid ``lo < hi`` pairs in row-major order with duplicates dropped."""
+    return np.divmod(np.unique(lo * n + hi), max(n, 1))
+
+
+def _csr(n: int, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the canonical row-major edge arrays ``lo < hi``."""
+    src = np.concatenate((hi, lo))
+    # Stable on src: node u's lower neighbours (first half, ascending because
+    # the pairs are row-major) precede its higher ones (second half, also
+    # ascending), so every neighbour list comes out sorted.
+    indices = np.concatenate((lo, hi))[np.argsort(src, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
 class Graph:
     """A simple undirected graph on nodes ``0..n-1``.
 
@@ -50,9 +125,10 @@ class Graph:
     ----------
     n:
         Number of nodes.  Must be non-negative.
-    edges:
+    edge_set:
         Iterable of ``(u, v)`` pairs with ``0 <= u, v < n`` and ``u != v``.
-        Duplicate edges (in either orientation) are collapsed.
+        Duplicate edges (in either orientation) are collapsed; the
+        :attr:`edge_set` attribute holds the canonical ``u < v`` pairs.
     names:
         Optional mapping from node index to an external name (used by the
         I/O helpers); purely cosmetic.
@@ -67,42 +143,62 @@ class Graph:
     """
 
     n: int
-    edge_set: FrozenSet[Edge]
-    names: Optional[Tuple[str, ...]] = None
-    _adj: Tuple[FrozenSet[int], ...] = field(init=False, repr=False, compare=False)
-    _csr_indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _csr_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    names: Optional[Tuple[str, ...]]
+    _csr_indptr: np.ndarray
+    _csr_indices: np.ndarray
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"node count must be non-negative, got {self.n}")
-        if self.names is not None and len(self.names) != self.n:
-            raise GraphError(
-                f"names has {len(self.names)} entries but the graph has {self.n} nodes"
-            )
-        adj: List[set] = [set() for _ in range(self.n)]
-        for u, v in self.edge_set:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) references a node outside 0..{self.n - 1}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-            adj[u].add(v)
-            adj[v].add(u)
-        frozen = tuple(frozenset(s) for s in adj)
-        object.__setattr__(self, "_adj", frozen)
-        # CSR arrays: indptr[u]..indptr[u+1] slices indices to u's sorted neighbours.
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for u in range(self.n):
-            indptr[u + 1] = indptr[u] + len(frozen[u])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u in range(self.n):
-            nbrs = sorted(frozen[u])
-            indices[indptr[u] : indptr[u + 1]] = nbrs
-        object.__setattr__(self, "_csr_indptr", indptr)
-        object.__setattr__(self, "_csr_indices", indices)
+    def __init__(
+        self,
+        n: int,
+        edge_set: Iterable[Edge],
+        names: Optional[Sequence[str]] = None,
+    ) -> None:
+        _check_sizes(n, names)
+        pairs = list(edge_set)
+        arrays = _pair_arrays(pairs)
+        if arrays is None or not _valid(n, *arrays):
+            _raise_invalid(n, pairs)
+        u, v = arrays
+        lo, hi = _sort_unique(n, np.minimum(u, v), np.maximum(u, v))
+        self._set_canonical(n, lo, hi, names)
+
+    def _set_canonical(
+        self, n: int, lo: np.ndarray, hi: np.ndarray, names: Optional[Sequence[str]]
+    ) -> None:
+        indptr, indices = _csr(n, lo, hi)
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.__dict__.update(
+            n=operator.index(n),
+            names=tuple(names) if names is not None else None,
+            _csr_indptr=indptr,
+            _csr_indices=indices,
+        )
+
+    @classmethod
+    def _from_canonical(
+        cls,
+        n: int,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        names: Optional[Sequence[str]] = None,
+    ) -> "Graph":
+        """Build from int64 edge arrays that are already canonical.
+
+        ``lo[k] < hi[k] < n`` for every k, the pairs are distinct and in
+        row-major order (sorted by ``lo``, then ``hi``).  Nothing is checked:
+        this is the generators' path, which emits such arrays directly.
+        """
+        graph = cls.__new__(cls)
+        graph._set_canonical(n, lo, hi, names)
+        return graph
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle the CSR arrays only; the cached views are rebuilt on demand.
+        return {key: self.__dict__[key] for key in ("n", "names", "_csr_indptr", "_csr_indices")}
 
     @classmethod
     def from_edges(
@@ -112,8 +208,21 @@ class Graph:
         names: Optional[Sequence[str]] = None,
     ) -> "Graph":
         """Build a graph from a node count and an edge iterable."""
-        edge_set = frozenset(_normalise_edge(u, v) for u, v in edges)
-        return cls(n=n, edge_set=edge_set, names=tuple(names) if names is not None else None)
+        edges = list(edges)
+        arrays = _pair_arrays(edges)
+        if arrays is None:
+            edge_set = frozenset(_normalise_edge(u, v) for u, v in edges)
+            return cls(n=n, edge_set=edge_set, names=names)
+        u, v = arrays
+        loops = np.flatnonzero(u == v)
+        if loops.size:
+            raise GraphError(f"self-loop {edges[loops[0]][0]!r} is not allowed in a simple graph")
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _check_sizes(n, names)
+        if not _valid(n, lo, hi):
+            # Errors name the first invalid edge in edge-set iteration order.
+            _raise_invalid(n, frozenset(zip(lo.tolist(), hi.tolist())))
+        return cls._from_canonical(n, *_sort_unique(n, lo, hi), names)
 
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[int, Iterable[int]]) -> "Graph":
@@ -136,6 +245,37 @@ class Graph:
         """Graph on ``n`` nodes with no edges."""
         return cls(n=n, edge_set=frozenset())
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable; cannot delete {name!r}")
+
+    # ------------------------------------------------------------------ #
+    # cached views of the CSR arrays
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def _adj(self) -> Tuple[FrozenSet[int], ...]:
+        """Per-node neighbour frozensets, sliced from the CSR arrays."""
+        flat = self._csr_indices.tolist()
+        ptr = self._csr_indptr.tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
+
+    @cached_property
+    def edge_set(self) -> FrozenSet[Edge]:
+        """The canonical ``(u, v)`` edges with ``u < v`` (built on first use)."""
+        return frozenset(self.edges())
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self._csr_indptr.tobytes(), self._csr_indices.tobytes()))
+
+    def _upper(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The canonical ``(lo, hi)`` edge arrays, row-major."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._csr_indptr))
+        upper = self._csr_indices > rows
+        return rows[upper], self._csr_indices[upper]
+
     # ------------------------------------------------------------------ #
     # basic queries
     # ------------------------------------------------------------------ #
@@ -147,7 +287,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
-        return len(self.edge_set)
+        return len(self._csr_indices) // 2
 
     def nodes(self) -> range:
         """Iterate over node indices ``0..n-1``."""
@@ -155,7 +295,8 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over canonical ``(u, v)`` edges with ``u < v`` in sorted order."""
-        return iter(sorted(self.edge_set))
+        lo, hi = self._upper()
+        return zip(lo.tolist(), hi.tolist())
 
     def has_node(self, u: int) -> bool:
         """Return ``True`` if ``u`` is a valid node index."""
@@ -163,9 +304,9 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` if the undirected edge ``{u, v}`` exists."""
-        if u == v:
+        if u == v or u not in self or v not in self:
             return False
-        return _normalise_edge(u, v) in self.edge_set
+        return int(v) in self._adj[int(u)]
 
     def neighbors(self, u: int) -> FrozenSet[int]:
         """Return the neighbour set of ``u`` as a frozenset."""
@@ -201,9 +342,8 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (``shape (n, n)``)."""
         mat = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edge_set:
-            mat[u, v] = True
-            mat[v, u] = True
+        rows = np.repeat(np.arange(self.n), np.diff(self._csr_indptr))
+        mat[rows, self._csr_indices] = True
         return mat
 
     def adjacency_lists(self) -> Dict[int, List[int]]:
@@ -211,7 +351,7 @@ class Graph:
         return {u: sorted(self._adj[u]) for u in range(self.n)}
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the ``(indptr, indices)`` CSR arrays (read-only views)."""
+        """Return the ``(indptr, indices)`` CSR arrays (read-only)."""
         return self._csr_indptr, self._csr_indices
 
     # ------------------------------------------------------------------ #
@@ -281,12 +421,15 @@ class Graph:
 
     def add_edges(self, extra: Iterable[Tuple[int, int]]) -> "Graph":
         """Return a new graph with additional edges (the original is unchanged)."""
-        edges = set(self.edge_set)
+        added: List[Edge] = []
         for u, v in extra:
             self._check_node(u)
             self._check_node(v)
-            edges.add(_normalise_edge(u, v))
-        return Graph(n=self.n, edge_set=frozenset(edges), names=self.names)
+            added.append(_normalise_edge(u, v))
+        lo, hi = self._upper()
+        new = np.array(added, dtype=np.int64).reshape(-1, 2)
+        lo, hi = np.concatenate((lo, new[:, 0])), np.concatenate((hi, new[:, 1]))
+        return Graph._from_canonical(self.n, *_sort_unique(self.n, lo, hi), self.names)
 
     def remove_edges(self, gone: Iterable[Tuple[int, int]]) -> "Graph":
         """Return a new graph with the listed edges removed."""
@@ -320,12 +463,16 @@ class Graph:
         return iter(range(self.n))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_set))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_set == other.edge_set
+        return self is other or (
+            self.n == other.n
+            and np.array_equal(self._csr_indptr, other._csr_indptr)
+            and np.array_equal(self._csr_indices, other._csr_indices)
+        )
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"

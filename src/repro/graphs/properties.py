@@ -169,7 +169,7 @@ def is_series_parallel(graph: Graph) -> bool:
     # Multigraph adjacency with edge multiplicities.
     mult: Dict[Tuple[int, int], int] = {}
     adj: Dict[int, set] = {u: set() for u in range(graph.n)}
-    for u, v in graph.edge_set:
+    for u, v in graph.edges():
         mult[(u, v)] = 1
         adj[u].add(v)
         adj[v].add(u)
@@ -225,7 +225,7 @@ def is_series_parallel(graph: Graph) -> bool:
 def triangle_count(graph: Graph) -> int:
     """Number of triangles in the graph."""
     count = 0
-    for u, v in graph.edge_set:
+    for u, v in graph.edges():
         count += len(graph.neighbors(u) & graph.neighbors(v))
     return count // 3
 

@@ -4,12 +4,15 @@ These are the building blocks for both the labeling schemes (which reason
 about the distance structure from the source) and the analysis code (diameter,
 radius, eccentricities).  Everything is deterministic: ties are always broken
 by node index so repeated runs produce identical results.
+
+Every traversal is one level-synchronous BFS (:func:`_bfs`) over the graph's
+per-node neighbour frozensets, so it only touches plain Python ints: no NumPy
+scalar is read or compared per edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +28,39 @@ __all__ = [
     "all_pairs_distances",
     "eccentricities",
 ]
+
+
+def _bfs(adj: Sequence[FrozenSet[int]], source: int, dist: List[int]) -> List[List[int]]:
+    """Level-synchronous BFS from ``source`` over plain-int adjacency sets.
+
+    ``dist`` holds ``-1`` for every node not reached yet; the nodes this
+    search reaches get their hop distance from ``source``.  Returns the
+    levels (each in discovery order).
+    """
+    dist[source] = 0
+    frontier = [source]
+    levels = [frontier]
+    d = 0
+    while True:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        if not nxt:
+            return levels
+        levels.append(nxt)
+        frontier = nxt
+
+
+def _levels(graph: Graph, source: int) -> Tuple[List[int], List[List[int]]]:
+    """``(dist, levels)`` of a BFS from ``source`` (``dist`` as a plain list)."""
+    if source not in graph:
+        raise GraphError(f"source {source} is not a node of {graph!r}")
+    dist = [-1] * graph.n
+    return dist, _bfs(graph._adj, int(source), dist)
 
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
@@ -44,19 +80,8 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     numpy.ndarray
         Integer array of shape ``(n,)``.
     """
-    if source not in graph:
-        raise GraphError(f"source {source} is not a node of {graph!r}")
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue: deque = deque([source])
-    indptr, indices = graph.csr()
-    while queue:
-        u = queue.popleft()
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
+    dist, _ = _levels(graph, source)
+    return np.array(dist, dtype=np.int64)
 
 
 def bfs_layers(graph: Graph, source: int) -> List[List[int]]:
@@ -64,16 +89,8 @@ def bfs_layers(graph: Graph, source: int) -> List[List[int]]:
 
     Each layer is sorted by node index.  Unreachable nodes are omitted.
     """
-    dist = bfs_distances(graph, source)
-    if graph.n == 0:
-        return []
-    max_d = int(dist.max(initial=0))
-    layers: List[List[int]] = [[] for _ in range(max_d + 1)]
-    for v in range(graph.n):
-        d = int(dist[v])
-        if d >= 0:
-            layers[d].append(v)
-    return layers
+    _, levels = _levels(graph, source)
+    return [sorted(level) for level in levels]
 
 
 def bfs_tree(graph: Graph, source: int) -> Dict[int, Optional[int]]:
@@ -82,14 +99,12 @@ def bfs_tree(graph: Graph, source: int) -> Dict[int, Optional[int]]:
     Unreachable nodes are absent from the mapping.  Parents are chosen as the
     smallest-index neighbour in the previous layer, so the tree is canonical.
     """
-    dist = bfs_distances(graph, source)
+    dist, _ = _levels(graph, source)
+    adj = graph._adj
     parent: Dict[int, Optional[int]] = {source: None}
-    for v in range(graph.n):
-        d = int(dist[v])
-        if d <= 0:
-            continue
-        candidates = [int(u) for u in graph.neighbors_array(v) if dist[u] == d - 1]
-        parent[v] = min(candidates)
+    for v, d in enumerate(dist):
+        if d > 0:
+            parent[v] = min(u for u in adj[v] if dist[u] == d - 1)
     return parent
 
 
@@ -100,14 +115,16 @@ def shortest_path(graph: Graph, source: int, target: int) -> Optional[List[int]]
     """
     if target not in graph:
         raise GraphError(f"target {target} is not a node of {graph!r}")
-    dist = bfs_distances(graph, source)
-    if dist[target] < 0:
-        return None
     parent = bfs_tree(graph, source)
+    if target not in parent:
+        return None
     path = [target]
     while path[-1] != source:
-        nxt = parent[path[-1]]
-        assert nxt is not None
+        nxt = parent.get(path[-1])
+        if nxt is None or len(path) > graph.n:
+            raise GraphError(
+                f"BFS parent pointers from {target} do not lead back to source {source}"
+            )
         path.append(nxt)
     path.reverse()
     return path
@@ -118,22 +135,13 @@ def connected_components(graph: Graph) -> List[List[int]]:
 
     Components are ordered by their smallest node.
     """
-    seen = np.zeros(graph.n, dtype=bool)
+    adj = graph._adj
+    dist = [-1] * graph.n
     components: List[List[int]] = []
     for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp: List[int] = []
-        queue: deque = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in graph.neighbors_array(u):
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(int(v))
-        components.append(sorted(comp))
+        if dist[start] < 0:
+            levels = _bfs(adj, start, dist)
+            components.append(sorted(v for level in levels for v in level))
     return components
 
 
@@ -141,7 +149,8 @@ def is_connected(graph: Graph) -> bool:
     """Return ``True`` if the graph is connected (single-node graphs count)."""
     if graph.n == 0:
         return True
-    return int((bfs_distances(graph, 0) >= 0).sum()) == graph.n
+    _, levels = _levels(graph, 0)
+    return sum(map(len, levels)) == graph.n
 
 
 def all_pairs_distances(graph: Graph) -> np.ndarray:

@@ -57,6 +57,10 @@ class ServiceClient:
         self._sock = socket.create_connection((self.host, self.port),
                                               timeout=timeout)
         try:
+            # Credit frames and requests are small writes that follow a
+            # write; with Nagle's algorithm they wait for the server's
+            # delayed ACK (~40 ms) on a share of requests.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             send_frame(self._sock, hello_frame("client"))
             welcome = recv_frame(self._sock)
             if welcome is None or welcome.get("type") == "error":

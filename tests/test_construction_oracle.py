@@ -141,10 +141,12 @@ class TestBlockedGeneratorsMatchDense:
         mask = np.random.default_rng(seed).random((n, n)) < 0.3
         iu, ju = np.triu_indices(n, k=1)
         sel = mask[iu, ju]
-        edges = []
         with mock.patch.object(generators, "_BLOCK_ENTRIES", block):
-            for start, stop in generators._row_blocks(n):
-                generators._append_upper(edges, mask[start:stop], start)
+            lo, hi = generators._concat_pairs([
+                generators._upper_pairs(mask[start:stop], start)
+                for start, stop in generators._row_blocks(n)
+            ])
+        edges = list(zip(lo.tolist(), hi.tolist()))
         assert edges == list(zip(iu[sel].tolist(), ju[sel].tolist()))
 
 

@@ -94,6 +94,18 @@ class TestBfsTreeAndPaths:
     def test_shortest_path_to_self(self):
         assert shortest_path(path_graph(4), 2, 2) == [2]
 
+    @pytest.mark.parametrize("corrupt", [
+        {0: None, 1: 0, 2: 1, 3: None},  # the walk hits None before the source
+        {0: None, 1: 2, 2: 3, 3: 1},     # the walk cycles, never reaching 0
+    ])
+    def test_corrupted_parent_map_raises_graph_error(self, monkeypatch, corrupt):
+        # A real exception, not an assert, so the check survives python -O.
+        from repro.graphs import traversal
+
+        monkeypatch.setattr(traversal, "bfs_tree", lambda graph, source: corrupt)
+        with pytest.raises(GraphError, match="do not lead back to source 0"):
+            shortest_path(path_graph(4), 0, 3)
+
 
 class TestConnectivity:
     def test_connected_components(self):

@@ -438,6 +438,31 @@ class TestConnections:
         # TOTAL computed cells + TOTAL for the local baseline above.
         assert len(backend_calls) == 2 * TOTAL
 
+    def test_client_socket_disables_nagle(self, tmp_path):
+        # Small credit frames and requests must not wait for the server's
+        # delayed ACK.
+        import socket
+
+        with ServiceHarness(tmp_path / "svc", workers=0) as svc:
+            with ServiceClient(svc.address) as client:
+                assert client._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    def test_default_window_query_longer_than_the_window(self, tmp_path):
+        # More rows than DEFAULT_WINDOW, so the client grants credit back
+        # mid-stream: the answer must still arrive whole.
+        from repro.service.client import DEFAULT_WINDOW
+
+        cfg = GridConfig(families=["path", "grid"], sizes=[9, 12, 16],
+                         seeds_per_size=4, schemes=["lambda", "round_robin",
+                                                    "lambda_ack"])
+        with ServiceHarness(tmp_path / "svc", workers=2) as svc:
+            with ServiceClient(svc.address) as client:
+                submitted = client.submit(cfg)
+                everything = client.query()
+        assert len(everything) == len(grid_row_specs(cfg)) > DEFAULT_WINDOW
+        assert sorted(map(repr, everything)) == sorted(map(repr, submitted))
+
     def test_small_credit_window_still_drains_the_stream(self, tmp_path):
         with ServiceHarness(tmp_path / "svc", workers=2) as svc:
             with ServiceClient(svc.address) as client:
