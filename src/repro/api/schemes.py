@@ -437,8 +437,12 @@ class LambdaArbScheme(Scheme):
         return {"coordinator": 0 if source != 0 else graph.n - 1}
 
     def default_budget(self, graph, info):
-        # Three acknowledged broadcasts plus guard delays: a 12n + 30 budget is
-        # comfortably above the worst case (each phase is O(n) rounds).
+        # Three acknowledged broadcasts plus guard delays, each O(n) rounds.
+        # Known short: a path with the source and the coordinator at
+        # opposite ends needs 14n - 20 rounds, so such runs end at this
+        # budget without completing (an xfail test in
+        # tests/test_core_arbitrary.py pins it).  Raising the budget changes
+        # recorded benchmark rows, so it waits for a golden re-recording.
         return 12 * graph.n + 30
 
     def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,

@@ -64,7 +64,7 @@ from ..radio.messages import (
     source_message,
     stay_message,
 )
-from ..radio.trace import TRACE_FULL, ExecutionTrace
+from ..radio.trace import TRACE_FULL
 from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
 from .vectorized import (
     _EMPTY,
@@ -73,15 +73,15 @@ from .vectorized import (
     _K_READY,
     _K_SOURCE,
     _K_STAY,
-    _KIND_NAMES,
     _NEVER,
     VectorizedBackend,
+    _Aggregates,
     _Channel,
+    _ack_payload_cost,
     _int_payload_bits,
     _parse_bit_labels,
     _parse_slot_labels,
     _Recorder,
-    _stamp_bits,
 )
 
 __all__ = [
@@ -134,6 +134,9 @@ class _BatchLayout:
     def channel(self) -> _Channel:
         return _Channel.from_arrays(self.indptr, self.indices, self.total)
 
+    def aggregates(self) -> _Aggregates:
+        return _Aggregates(self.tasks, self.offsets, self.owner)
+
     def counts(self, ids: np.ndarray) -> np.ndarray:
         """Per-instance element counts of an array of stacked node ids.
 
@@ -152,28 +155,53 @@ class _BatchLayout:
 class _BatchRun:
     """Per-instance activity / stop / trace bookkeeping shared by all kernels.
 
-    With no full-level task in the batch (``fast``), kernels skip per-round
-    per-instance recording entirely: they accumulate whole-run aggregates in
-    :class:`_SummaryAggregates` arrays and materialise every trace once at
-    the end via :meth:`ExecutionTrace.from_aggregates` — the recording cost
-    per round stays O(1) kernel calls instead of O(batch) Python calls,
-    which is where the per-instance dispatch overhead actually lives.
+    Every kernel records the whole batch into one
+    :class:`~repro.backends.vectorized._Aggregates` (a few array calls per
+    round, whatever the batch size) and the summary/none traces are built
+    from it once at the end; only full-level instances also get a
+    :class:`~repro.backends.vectorized._Recorder` fed per round through
+    :meth:`full_slices`.
     """
 
     def __init__(self, lay: _BatchLayout) -> None:
         self.lay = lay
-        self.fast = all(t.trace_level != TRACE_FULL for t in lay.tasks)
-        self.recs = (
-            None
-            if self.fast
-            else [_Recorder(t.graph.n, t.source, t.trace_level) for t in lay.tasks]
-        )
+        self.recs = [
+            _Recorder(t.graph.n, t.source, t.trace_level)
+            if t.trace_level == TRACE_FULL
+            else None
+            for t in lay.tasks
+        ]
+        self.full = np.array([rec is not None for rec in self.recs], dtype=bool)
         self.active = lay.max_rounds >= 1
         self.stop_round = np.zeros(lay.B, dtype=np.int64)
         self.stop_reason = ["budget"] * lay.B
 
     def node_active(self) -> np.ndarray:
         return self.active[self.lay.owner]
+
+    def full_slices(self, tx_ids, hears_ids, senders, collision_ids):
+        """Yield ``(b, recorder, offset, transmitters, hearers, senders,
+        collisions)`` for each active full-level instance: its slices of the
+        round's sorted stacked-id arrays, the first three as plain ints."""
+        full = np.flatnonzero(self.active & self.full)
+        if not full.size:
+            return
+        lay = self.lay
+        tx_pts = lay.split_points(tx_ids)
+        rx_pts = lay.split_points(hears_ids)
+        col_pts = lay.split_points(collision_ids)
+        for b in full.tolist():
+            off = int(lay.offsets[b])
+            rx = slice(rx_pts[b], rx_pts[b + 1])
+            yield (
+                b,
+                self.recs[b],
+                off,
+                tx_ids[tx_pts[b] : tx_pts[b + 1]].tolist(),
+                hears_ids[rx].tolist(),
+                senders[rx].tolist(),
+                collision_ids[col_pts[b] : col_pts[b + 1]] - off,
+            )
 
     def finish_round(self, r: int, condition_met: np.ndarray) -> None:
         """Close round ``r``: record stop rounds, retire satisfied/budget-out
@@ -185,98 +213,24 @@ class _BatchRun:
         self.active = self.active & ~met & (r < self.lay.max_rounds)
 
     def results(
-        self,
-        derived: List[Dict[str, Any]],
-        traces: Optional[List[Any]] = None,
+        self, derived: List[Dict[str, Any]], agg: _Aggregates
     ) -> List[BackendResult]:
-        if traces is None:
-            traces = [rec.trace for rec in self.recs]
         return [
             BackendResult(
                 simulation=SimulationResult(
-                    trace=traces[b],
+                    trace=(
+                        agg.trace_for(b, self.stop_round[b])
+                        if rec is None
+                        else rec.trace
+                    ),
                     nodes=[],
                     stop_round=int(self.stop_round[b]),
                     stop_reason=self.stop_reason[b],
                 ),
                 derived=derived[b],
             )
-            for b in range(self.lay.B)
+            for b, rec in enumerate(self.recs)
         ]
-
-
-class _SummaryAggregates:
-    """Whole-run per-instance aggregates for the fast (summary/none) path.
-
-    Totals live in length-B arrays updated with one bincount per round;
-    per-node first-informed / first-ack / last-ack rounds live in stacked
-    arrays (0 = never; real rounds start at 1), exactly the state the
-    incremental trace recorder would have built.
-    """
-
-    def __init__(self, lay: _BatchLayout) -> None:
-        self.lay = lay
-        self.tx = np.zeros(lay.B, dtype=np.int64)
-        self.rx = np.zeros(lay.B, dtype=np.int64)
-        self.col = np.zeros(lay.B, dtype=np.int64)
-        self.fixed = np.zeros(lay.B, dtype=np.float64)
-        self.first_informed = np.zeros(lay.total, dtype=np.int64)
-        self.ack_first = np.zeros(lay.total, dtype=np.int64)
-        self.ack_last = np.zeros(lay.total, dtype=np.int64)
-
-    def add_channel(self, tx_ids, hears_ids, collision_ids) -> None:
-        self.tx += self.lay.counts(tx_ids)
-        self.rx += self.lay.counts(hears_ids)
-        self.col += self.lay.counts(collision_ids)
-
-    def mark_informed(self, ids: np.ndarray, r: int) -> None:
-        if ids.size:
-            unset = self.first_informed[ids] == 0
-            self.first_informed[ids[unset]] = r
-
-    def mark_acks(self, ids: np.ndarray, r: int) -> None:
-        if ids.size:
-            unset = self.ack_first[ids] == 0
-            self.ack_first[ids[unset]] = r
-            self.ack_last[ids] = r
-
-    def trace_for(
-        self,
-        b: int,
-        *,
-        num_rounds: int,
-        kind_hist: Dict[str, int],
-        fixed_bits: float,
-        payload_messages: int,
-    ):
-        task = self.lay.tasks[b]
-        lo, hi = self.lay.offsets[b], self.lay.offsets[b + 1]
-        informed_first: Dict[int, int] = {}
-        ack_first: Dict[int, int] = {}
-        ack_last: Dict[int, int] = {}
-        if task.trace_level != "none":
-            for v, first in enumerate(self.first_informed[lo:hi]):
-                if first:
-                    informed_first[v] = int(first)
-            for v, first in enumerate(self.ack_first[lo:hi]):
-                if first:
-                    ack_first[v] = int(first)
-                    ack_last[v] = int(self.ack_last[lo + v])
-        return ExecutionTrace.from_aggregates(
-            task.graph.n,
-            task.source,
-            level=task.trace_level,
-            num_rounds=int(num_rounds),
-            total_transmissions=int(self.tx[b]),
-            total_receptions=int(self.rx[b]),
-            total_collisions=int(self.col[b]),
-            kind_hist=kind_hist,
-            fixed_bits=int(round(fixed_bits)),
-            payload_messages=int(payload_messages),
-            informed_first=informed_first,
-            ack_first=ack_first,
-            ack_last=ack_last,
-        )
 
 
 def _stack_bit_labels(lay: _BatchLayout) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,8 +266,7 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     sent_src_prev2 = np.zeros(lay.total, dtype=bool)
     heard_stay_prev = np.zeros(lay.total, dtype=bool)
     completion: List[Optional[int]] = [None] * lay.B
-    agg = _SummaryAggregates(lay) if run.fast else None
-    src_tx_total = np.zeros(lay.B, dtype=np.int64)
+    agg = lay.aggregates()
 
     r = 0
     while run.active.any():
@@ -343,50 +296,19 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         else:
             mu_hearers = _EMPTY
 
-        if run.fast:
-            agg.add_channel(tx_ids, hears_ids, collision_ids)
-            src_tx_total += lay.counts(tx_ids[tx_source[tx_ids]])
-            agg.mark_informed(mu_hearers, r)
-        else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            mu_pts = lay.split_points(mu_hearers)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                b_tx = tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                n_src_tx = int(np.count_nonzero(tx_source[b_tx]))
-                n_stay_tx = int(b_tx.size) - n_src_tx
-                if rec.full:
-                    src_msg = source_message(lay.tasks[b].payload)
-                    stay_msg = stay_message()
-                    transmissions = {
-                        int(u - off): (src_msg if tx_source[u] else stay_msg)
-                        for u in b_tx
-                    }
-                    receptions = {
-                        int(v - off): transmissions[int(u - off)]
-                        for v, u in zip(
-                            hears_ids[rx_pts[b] : rx_pts[b + 1]],
-                            senders[rx_pts[b] : rx_pts[b + 1]],
-                        )
-                    }
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    rec.summary_round(
-                        r,
-                        transmissions=int(b_tx.size),
-                        receptions=int(rx_pts[b + 1] - rx_pts[b]),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_src_tx, "stay": n_stay_tx},
-                        fixed_bits=2 * n_stay_tx,
-                        payload_messages=n_src_tx,
-                        informed=mu_hearers[mu_pts[b] : mu_pts[b + 1]] - off,
-                        ack_hearers=(),
-                    )
+        agg.add_channel(tx_ids, hears_ids, collision_ids)
+        agg.add_tx(tx_ids, np.where(tx_source[tx_ids], _K_SOURCE, _K_STAY))
+        agg.mark_informed(mu_hearers, r)
+        for b, rec, off, b_tx, b_rx, b_snd, b_col in run.full_slices(
+            tx_ids, hears_ids, senders, collision_ids
+        ):
+            src_msg = source_message(lay.tasks[b].payload)
+            stay_msg = stay_message()
+            transmissions = {
+                u - off: (src_msg if tx_source[u] else stay_msg) for u in b_tx
+            }
+            receptions = {v - off: transmissions[u - off] for v, u in zip(b_rx, b_snd)}
+            rec.full_round(r, transmissions, receptions, b_col)
 
         sent_src_prev2, sent_src_prev = sent_src_prev, tx_source
         heard_stay_prev = heard_stay_now
@@ -397,22 +319,7 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         run.finish_round(r, stop_all & done)
 
     derived = [{"completion_round": completion[b]} for b in range(lay.B)]
-    if run.fast:
-        traces = []
-        for b in range(lay.B):
-            n_src = int(src_tx_total[b])
-            n_stay = int(agg.tx[b]) - n_src
-            traces.append(
-                agg.trace_for(
-                    b,
-                    num_rounds=run.stop_round[b],
-                    kind_hist={"source": n_src, "stay": n_stay},
-                    fixed_bits=2 * n_stay,
-                    payload_messages=n_src,
-                )
-            )
-        return run.results(derived, traces)
-    return run.results(derived)
+    return run.results(derived, agg)
 
 
 # --------------------------------------------------------------------------- #
@@ -443,9 +350,7 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
 
     first_ack: List[Optional[int]] = [None] * lay.B
     completion: List[Optional[int]] = [None] * lay.B
-    agg = _SummaryAggregates(lay) if run.fast else None
-    src_tx_total = np.zeros(lay.B, dtype=np.int64)
-    stay_tx_total = np.zeros(lay.B, dtype=np.int64)
+    agg = lay.aggregates()
 
     r = 0
     while run.active.any():
@@ -525,69 +430,25 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
                 if first_ack[b] is None:
                     first_ack[b] = r
 
-        if run.fast:
-            agg.add_channel(tx_ids, hears_ids, collision_ids)
-            kinds_tx = tx_kind[tx_ids]
-            src_tx_total += lay.counts(tx_ids[kinds_tx == _K_SOURCE])
-            stay_tx_total += lay.counts(tx_ids[kinds_tx == _K_STAY])
-            if tx_ids.size:
-                agg.fixed += np.bincount(
-                    lay.owner[tx_ids],
-                    weights=_stamp_bits(tx_stamp[tx_ids]),
-                    minlength=lay.B,
-                )
-            agg.mark_informed(mu_hearers, r)
-            agg.mark_acks(ack_hearers, r)
-        else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            mu_pts = lay.split_points(mu_hearers)
-            ack_pts = lay.split_points(ack_hearers)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                b_tx = tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                if rec.full:
-                    transmissions: Dict[int, Message] = {}
-                    for u in b_tx:
-                        u = int(u)
-                        stamp = int(tx_stamp[u])
-                        if tx_kind[u] == _K_SOURCE:
-                            msg = source_message(lay.tasks[b].payload, round_stamp=stamp)
-                        elif tx_kind[u] == _K_STAY:
-                            msg = stay_message(round_stamp=stamp)
-                        else:
-                            msg = ack_message(stamp)
-                        transmissions[u - int(off)] = msg
-                    receptions = {
-                        int(v - off): transmissions[int(u - off)]
-                        for v, u in zip(
-                            hears_ids[rx_pts[b] : rx_pts[b + 1]],
-                            senders[rx_pts[b] : rx_pts[b + 1]],
-                        )
-                    }
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
+        agg.add_channel(tx_ids, hears_ids, collision_ids)
+        agg.add_tx(tx_ids, tx_kind[tx_ids], tx_stamp[tx_ids])
+        agg.mark_informed(mu_hearers, r)
+        agg.mark_acks(ack_hearers, r)
+        for b, rec, off, b_tx, b_rx, b_snd, b_col in run.full_slices(
+            tx_ids, hears_ids, senders, collision_ids
+        ):
+            transmissions: Dict[int, Message] = {}
+            for u in b_tx:
+                stamp = int(tx_stamp[u])
+                if tx_kind[u] == _K_SOURCE:
+                    msg = source_message(lay.tasks[b].payload, round_stamp=stamp)
+                elif tx_kind[u] == _K_STAY:
+                    msg = stay_message(round_stamp=stamp)
                 else:
-                    kinds_tx = tx_kind[b_tx]
-                    stamps = tx_stamp[b_tx]
-                    n_src_tx = int(np.count_nonzero(kinds_tx == _K_SOURCE))
-                    n_stay_tx = int(np.count_nonzero(kinds_tx == _K_STAY))
-                    n_ack_tx = int(b_tx.size) - n_src_tx - n_stay_tx
-                    fixed = int(_stamp_bits(stamps).sum()) + 2 * (n_stay_tx + n_ack_tx)
-                    rec.summary_round(
-                        r,
-                        transmissions=int(b_tx.size),
-                        receptions=int(rx_pts[b + 1] - rx_pts[b]),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_src_tx, "stay": n_stay_tx, "ack": n_ack_tx},
-                        fixed_bits=fixed,
-                        payload_messages=n_src_tx,
-                        informed=mu_hearers[mu_pts[b] : mu_pts[b + 1]] - off,
-                        ack_hearers=ack_hearers[ack_pts[b] : ack_pts[b + 1]] - off,
-                    )
+                    msg = ack_message(stamp)
+                transmissions[u - off] = msg
+            receptions = {v - off: transmissions[u - off] for v, u in zip(b_rx, b_snd)}
+            rec.full_round(r, transmissions, receptions, b_col)
 
         sent_src_prev2, sent_src_prev = sent_src_prev, tx_kind == _K_SOURCE
         heard_stay_prev = heard_stay_now
@@ -604,23 +465,7 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
         {"completion_round": completion[b], "acknowledgement_round": first_ack[b]}
         for b in range(lay.B)
     ]
-    if run.fast:
-        traces = []
-        for b in range(lay.B):
-            n_src = int(src_tx_total[b])
-            n_stay = int(stay_tx_total[b])
-            n_ack = int(agg.tx[b]) - n_src - n_stay
-            traces.append(
-                agg.trace_for(
-                    b,
-                    num_rounds=run.stop_round[b],
-                    kind_hist={"source": n_src, "stay": n_stay, "ack": n_ack},
-                    fixed_bits=agg.fixed[b] + 2 * (n_stay + n_ack),
-                    payload_messages=n_src,
-                )
-            )
-        return run.results(derived, traces)
-    return run.results(derived)
+    return run.results(derived, agg)
 
 
 # --------------------------------------------------------------------------- #
@@ -693,10 +538,7 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     coord_ack_first: List[Optional[int]] = [None] * B
     coord_ack_last: List[Optional[int]] = [None] * B
 
-    agg = _SummaryAggregates(lay) if run.fast else None
-    kind_tx_total = np.zeros((6, B), dtype=np.int64)  # indexed by kind code
-    ack_fixed_extra = np.zeros(B, dtype=np.int64)
-    ack_payload_msgs = np.zeros(B, dtype=np.int64)
+    agg = lay.aggregates()
 
     r = 0
     while run.active.any():
@@ -871,101 +713,35 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                             sched_source[b] = r + T_c_val[b] + 1
 
         # Record.
-        if run.fast:
-            agg.add_channel(tx_ids, hears_ids, collision_ids)
-            kinds_tx = tx_kind[tx_ids]
-            for code in range(_K_INIT, _K_ACK + 1):
-                sel = kinds_tx == code
-                if sel.any():
-                    kind_tx_total[code] += lay.counts(tx_ids[sel])
-            if tx_ids.size:
-                agg.fixed += np.bincount(
-                    lay.owner[tx_ids],
-                    weights=_stamp_bits(tx_stamp[tx_ids]),
-                    minlength=B,
-                )
-            for u in tx_ids[kinds_tx == _K_ACK]:
-                pay = ack_payloads.get(int(u))
-                if pay is None:
-                    continue
-                b = int(lay.owner[u])
-                if isinstance(pay, int):
-                    ack_fixed_extra[b] += _int_payload_bits(pay)
+        agg.add_channel(tx_ids, hears_ids, collision_ids)
+        agg.add_tx(tx_ids, tx_kind[tx_ids], tx_stamp[tx_ids])
+        for u, pay in ack_payloads.items():
+            bits, msgs = _ack_payload_cost(pay)
+            b = int(lay.owner[u])
+            agg.fixed_extra[b] += bits
+            agg.payload_extra[b] += msgs
+        agg.mark_informed(mu_hearers, r)
+        agg.mark_acks(ack_hearers, r)
+        for b, rec, off, b_tx, b_rx, b_snd, b_col in run.full_slices(
+            tx_ids, hears_ids, senders, collision_ids
+        ):
+            transmissions: Dict[int, Message] = {}
+            for u in b_tx:
+                kind = int(tx_kind[u])
+                stamp = int(tx_stamp[u])
+                if kind == _K_INIT:
+                    msg = initialize_message(round_stamp=stamp)
+                elif kind == _K_READY:
+                    msg = ready_message(int(T_c_val[b]), round_stamp=stamp)
+                elif kind == _K_SOURCE:
+                    msg = source_message(learned_payload[b], round_stamp=stamp)
+                elif kind == _K_STAY:
+                    msg = stay_message(round_stamp=stamp)
                 else:
-                    ack_payload_msgs[b] += 1
-            agg.mark_informed(mu_hearers, r)
-            agg.mark_acks(ack_hearers, r)
-        else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            mu_pts = lay.split_points(mu_hearers)
-            ack_pts = lay.split_points(ack_hearers)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                b_tx = tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                if rec.full:
-                    transmissions: Dict[int, Message] = {}
-                    for u in b_tx:
-                        u = int(u)
-                        kind = int(tx_kind[u])
-                        stamp = int(tx_stamp[u])
-                        if kind == _K_INIT:
-                            msg = initialize_message(round_stamp=stamp)
-                        elif kind == _K_READY:
-                            msg = ready_message(int(T_c_val[b]), round_stamp=stamp)
-                        elif kind == _K_SOURCE:
-                            msg = source_message(payloads[b], round_stamp=stamp)
-                        elif kind == _K_STAY:
-                            msg = stay_message(round_stamp=stamp)
-                        else:
-                            msg = ack_message(stamp, payload=ack_payloads.get(u))
-                        transmissions[u - int(off)] = msg
-                    receptions = {
-                        int(v - off): transmissions[int(u - off)]
-                        for v, u in zip(
-                            hears_ids[rx_pts[b] : rx_pts[b + 1]],
-                            senders[rx_pts[b] : rx_pts[b + 1]],
-                        )
-                    }
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    kinds_tx = tx_kind[b_tx]
-                    stamps = tx_stamp[b_tx]
-                    counts = {
-                        name: int(np.count_nonzero(kinds_tx == code))
-                        for code, name in _KIND_NAMES.items()
-                        if np.any(kinds_tx == code)
-                    }
-                    n_src_tx = counts.get("source", 0)
-                    n_ready_tx = counts.get("ready", 0)
-                    non_source = int(b_tx.size) - n_src_tx
-                    fixed = int(_stamp_bits(stamps).sum()) + 2 * non_source
-                    if n_ready_tx:
-                        fixed += n_ready_tx * _int_payload_bits(int(T_c_val[b]))
-                    payload_msgs = n_src_tx
-                    for u in b_tx[kinds_tx == _K_ACK]:
-                        pay = ack_payloads.get(int(u))
-                        if pay is None:
-                            continue
-                        if isinstance(pay, int):
-                            fixed += _int_payload_bits(pay)
-                        else:
-                            payload_msgs += 1
-                    rec.summary_round(
-                        r,
-                        transmissions=int(b_tx.size),
-                        receptions=int(rx_pts[b + 1] - rx_pts[b]),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds=counts,
-                        fixed_bits=fixed,
-                        payload_messages=payload_msgs,
-                        informed=mu_hearers[mu_pts[b] : mu_pts[b + 1]] - off,
-                        ack_hearers=ack_hearers[ack_pts[b] : ack_pts[b + 1]] - off,
-                    )
+                    msg = ack_message(stamp, payload=ack_payloads.get(u))
+                transmissions[u - off] = msg
+            receptions = {v - off: transmissions[u - off] for v, u in zip(b_rx, b_snd)}
+            rec.full_round(r, transmissions, receptions, b_col)
 
         sent_kind_prev2, sent_kind_prev = sent_kind_prev, tx_kind
         heard_stay_prev = heard_stay_now
@@ -1012,33 +788,13 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             }
         )
 
-    if run.fast:
-        traces = []
-        for b in range(B):
-            counts = {
-                name: int(kind_tx_total[code][b])
-                for code, name in _KIND_NAMES.items()
-                if kind_tx_total[code][b]
-            }
-            n_src = counts.get("source", 0)
-            n_ready = counts.get("ready", 0)
-            non_source = int(agg.tx[b]) - n_src
-            fixed = agg.fixed[b] + 2 * non_source + int(ack_fixed_extra[b])
-            if n_ready:
-                # T is fixed from the moment the first READY exists, so the
-                # whole-run payload-bit total is one multiply.
-                fixed += n_ready * _int_payload_bits(int(T_c_val[b]))
-            traces.append(
-                agg.trace_for(
-                    b,
-                    num_rounds=run.stop_round[b],
-                    kind_hist=counts,
-                    fixed_bits=fixed,
-                    payload_messages=n_src + int(ack_payload_msgs[b]),
-                )
-            )
-        return run.results(derived, traces)
-    return run.results(derived)
+    for b in range(B):
+        n_ready = agg.kind_count(b, _K_READY)
+        if n_ready:
+            # T is fixed from the moment the first READY exists, so the
+            # whole-run payload-bit total is one multiply.
+            agg.fixed_extra[b] += n_ready * _int_payload_bits(int(T_c_val[b]))
+    return run.results(derived, agg)
 
 
 # --------------------------------------------------------------------------- #
@@ -1060,7 +816,7 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
     informed[lay.sources] = True
     informed_count = np.ones(lay.B, dtype=np.int64)
     completion: List[Optional[int]] = [None] * lay.B
-    agg = _SummaryAggregates(lay) if run.fast else None
+    agg = lay.aggregates()
 
     r = 0
     while run.active.any():
@@ -1072,39 +828,16 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
             informed[new_ids] = True
             informed_count += lay.counts(new_ids)
 
-        if run.fast:
-            agg.add_channel(tx_ids, hears_ids, collision_ids)
-            agg.mark_informed(hears_ids, r)
-        else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                n_tx = int(tx_pts[b + 1] - tx_pts[b])
-                b_rx = hears_ids[rx_pts[b] : rx_pts[b + 1]]
-                if rec.full:
-                    msg = source_message(lay.tasks[b].payload)
-                    transmissions = {
-                        int(u - off): msg for u in tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                    }
-                    receptions = {int(v - off): msg for v in b_rx}
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    rec.summary_round(
-                        r,
-                        transmissions=n_tx,
-                        receptions=int(b_rx.size),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_tx},
-                        fixed_bits=0,
-                        payload_messages=n_tx,
-                        informed=b_rx - off,
-                        ack_hearers=(),
-                    )
+        agg.add_channel(tx_ids, hears_ids, collision_ids)
+        agg.add_tx(tx_ids, _K_SOURCE)
+        agg.mark_informed(hears_ids, r)
+        for b, rec, off, b_tx, b_rx, _, b_col in run.full_slices(
+            tx_ids, hears_ids, senders, collision_ids
+        ):
+            msg = source_message(lay.tasks[b].payload)
+            transmissions = {u - off: msg for u in b_tx}
+            receptions = {v - off: msg for v in b_rx}
+            rec.full_round(r, transmissions, receptions, b_col)
 
         done = informed_count == lay.ns
         for b in np.flatnonzero(run.active & done):
@@ -1113,19 +846,7 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
         run.finish_round(r, stop_all & done)
 
     derived = [{"completion_round": completion[b]} for b in range(lay.B)]
-    if run.fast:
-        traces = [
-            agg.trace_for(
-                b,
-                num_rounds=run.stop_round[b],
-                kind_hist={"source": int(agg.tx[b])},
-                fixed_bits=0,
-                payload_messages=int(agg.tx[b]),
-            )
-            for b in range(lay.B)
-        ]
-        return run.results(derived, traces)
-    return run.results(derived)
+    return run.results(derived, agg)
 
 
 def run_slotted_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
@@ -1226,7 +947,7 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
     need_len = np.full(lay.total, -1, dtype=np.int64)
     decoded_count = np.ones(lay.B, dtype=np.int64)
     pow_header = (1 << np.arange(LENGTH_HEADER_BITS - 1, -1, -1)).astype(np.int64)
-    agg = _SummaryAggregates(lay) if run.fast else None
+    agg = lay.aggregates()
 
     r = 0
     while run.active.any():
@@ -1304,39 +1025,16 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
                         decoded_count[b] += 1
                         matches[v] = text == payload_strs[b]
 
-        if run.fast:
-            agg.add_channel(tx_ids, hears_ids, collision_ids)
-            agg.mark_informed(hears_ids, r)
-        else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                n_tx = int(tx_pts[b + 1] - tx_pts[b])
-                b_rx = hears_ids[rx_pts[b] : rx_pts[b + 1]]
-                if rec.full:
-                    msg = source_message("1")
-                    transmissions = {
-                        int(u - off): msg for u in tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                    }
-                    receptions = {int(v - off): msg for v in b_rx}
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    rec.summary_round(
-                        r,
-                        transmissions=n_tx,
-                        receptions=int(b_rx.size),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_tx},
-                        fixed_bits=0,
-                        payload_messages=n_tx,
-                        informed=b_rx - off,
-                        ack_hearers=(),
-                    )
+        agg.add_channel(tx_ids, hears_ids, collision_ids)
+        agg.add_tx(tx_ids, _K_SOURCE)
+        agg.mark_informed(hears_ids, r)
+        for b, rec, off, b_tx, b_rx, _, b_col in run.full_slices(
+            tx_ids, hears_ids, senders, collision_ids
+        ):
+            msg = source_message("1")
+            transmissions = {u - off: msg for u in b_tx}
+            receptions = {v - off: msg for v in b_rx}
+            rec.full_round(r, transmissions, receptions, b_col)
 
         run.finish_round(r, stop_decoded & (decoded_count == lay.ns))
 
@@ -1349,19 +1047,7 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
                 "decoded_correctly": bool(matches[lo:hi].all()),
             }
         )
-    if run.fast:
-        traces = [
-            agg.trace_for(
-                b,
-                num_rounds=run.stop_round[b],
-                kind_hist={"source": int(agg.tx[b])},
-                fixed_bits=0,
-                payload_messages=int(agg.tx[b]),
-            )
-            for b in range(lay.B)
-        ]
-        return run.results(derived, traces)
-    return run.results(derived)
+    return run.results(derived, agg)
 
 
 # --------------------------------------------------------------------------- #

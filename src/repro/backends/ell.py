@@ -21,7 +21,7 @@ Three pieces live here:
   irregular graphs (star: ratio ≈ n/2) fall back to the CSR backend.
 
 * The **NumPy ELL tier** — :class:`_EllChannel` is a drop-in replacement for
-  the CSR ``_Channel`` (same ``resolve`` quadruple, bit for bit), injected
+  the CSR ``_Channel`` (same ``resolve_ids`` quadruple, bit for bit), injected
   into the *same* round loops (``_run_broadcast_kernel`` /
   ``_run_slotted_kernel``), so equivalence with the vectorized backend holds
   by construction.
@@ -176,7 +176,8 @@ def padding_ratio_of(graph) -> float:
 # the NumPy ELL tier: a drop-in _Channel over padded rows
 # --------------------------------------------------------------------------- #
 class _EllChannel:
-    """ELL counterpart of the CSR ``_Channel`` — same ``resolve`` contract.
+    """ELL counterpart of the CSR ``_Channel`` — same ``resolve`` /
+    ``resolve_ids`` contract.
 
     One ``bincount`` over the transmitters' *whole* padded rows: self-padding
     only ever increments the transmitters' own counts, which are zeroed
@@ -192,7 +193,11 @@ class _EllChannel:
     def resolve(
         self, tx_mask: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        tx_ids = np.flatnonzero(tx_mask)
+        return self.resolve_ids(np.flatnonzero(tx_mask))
+
+    def resolve_ids(
+        self, tx_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if tx_ids.size == 0 or self.width == 0:
             return tx_ids, _EMPTY, _EMPTY, _EMPTY
         targets = self.neighbors[tx_ids].ravel()

@@ -12,18 +12,40 @@ prebuilt CSR arrays:
 * the identity of the unique transmitter heard by a count-1 listener falls out
   of a second weighted ``bincount`` (sum of transmitter ids — exact where the
   count is one);
-* protocol state transitions ("informed two rounds ago", "heard *stay* last
-  round") are boolean masks over per-node arrays, mirroring the decision
-  rules of the object protocols branch for branch, in the same priority
-  order, so outcomes are **bit-for-bit identical** to the
-  :class:`~repro.backends.reference.ReferenceBackend` (asserted by
+* the decision rules of the object protocols are applied branch for branch,
+  in the same priority order, so outcomes are **bit-for-bit identical** to
+  the :class:`~repro.backends.reference.ReferenceBackend` (asserted by
   ``tests/test_backend_equivalence.py``).
 
-Only the genuinely sparse events — acknowledgement-chain bookkeeping, the
-B_arb coordinator — stay in Python, bounded by the handful of nodes they
-touch per round.  With ``trace_level="summary"``/``"none"`` the hot loop
-allocates only small per-round work arrays proportional to the number of
-transmitters, never to ``n × rounds``.
+**The calendar.**  Every rule of the paper's algorithms fires from a recent
+event: a node informed in round r−1 or r−2 (µ with bit x1, *stay* with x2, an
+ack with x3), a node that heard *stay* in r−1 after sending µ in r−2, an ack
+heard in r−1, one of B_arb's timers (the coordinator's READY and µ rounds,
+the true source's phase-2 ack), or — for round-robin / TDMA — an informed
+node's next slot r′ ≡ slot (mod period).  Each kernel files a node in a
+:class:`_Calendar` (a heap of rounds, each with its candidate index arrays
+grouped by rule) the moment the enabling event happens, and a round decides
+over those candidates only, never over length-n masks.
+
+**The jump rule.**  A round nobody was filed for has no transmitter, so
+nothing in it can change: the loop goes straight to the next filed round,
+and when nothing is filed at all it jumps to ``max_rounds`` with stop reason
+``"budget"``.  Every stop rule (all informed, source acknowledged, everyone
+knows the completion round) can only become true in round 1 — where it may
+already hold, as with a single node — or in a round with a reception or a
+timer.  Every kernel visits round 1 (the labeled protocols always transmit
+there; the source-flood loop visits it even when nothing is filed) and the
+calendar visits every other such round, so a jump never passes a stop.
+
+**Aggregate recording.**  With ``trace_level="summary"``/``"none"`` a round
+records into :class:`_Aggregates` — running totals, transmitter kinds and
+stamp bits, each one ``bincount`` per round, and per-node first-informed /
+ack rounds — and the trace is built once at the end with
+:meth:`~repro.radio.trace.ExecutionTrace.from_aggregates`.  The batched
+engine records through the same class.  ``"full"`` traces append one
+:class:`~repro.radio.trace.RoundRecord` per visited round and an empty one
+for every skipped round, so they equal the reference engine's record for
+record.
 
 The collision-detection bit-signalling baseline is compiled too — its kernel
 natively implements the detection channel (energy = message or collision) and
@@ -34,7 +56,8 @@ to the reference backend, so ``--backend vectorized`` is always safe to pass.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+import heapq
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,12 +93,20 @@ _KIND_NAMES = {
     _K_STAY: "stay",
     _K_ACK: "ack",
 }
+_N_KINDS = _K_ACK + 1
 
 #: Sentinel for "never" in round-number arrays (any valid round is >= 1, and
 #: the rules compare against r-2 >= -1, so -5 can never match).
 _NEVER = -5
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _cat(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate id arrays without copying the common one-part case."""
+    if not parts:
+        return _EMPTY
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # --------------------------------------------------------------------------- #
@@ -146,14 +177,20 @@ class _Channel:
     def resolve(
         self, tx_mask: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Resolve one round given a boolean transmit mask (see :meth:`resolve_ids`)."""
+        return self.resolve_ids(np.flatnonzero(tx_mask))
+
+    def resolve_ids(
+        self, tx_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Resolve one round of the radio channel.
 
+        ``tx_ids`` are the round's distinct transmitters, in any order.
         Returns ``(tx_ids, hears_ids, senders, collision_ids)`` where
         ``senders[i]`` is the unique transmitting neighbour heard by
         ``hears_ids[i]`` and ``collision_ids`` are the listeners with two or
-        more transmitting neighbours.
+        more transmitting neighbours (both sorted ascending).
         """
-        tx_ids = np.flatnonzero(tx_mask)
         if tx_ids.size == 0:
             return tx_ids, _EMPTY, _EMPTY, _EMPTY
         indptr, indices = self.indptr, self.indices
@@ -179,6 +216,9 @@ class _Channel:
         return tx_ids, hears_ids, senders, collision_ids
 
 
+# --------------------------------------------------------------------------- #
+# trace recording
+# --------------------------------------------------------------------------- #
 class _Recorder:
     """Shared trace plumbing: full RoundRecords or O(1) summary increments."""
 
@@ -195,6 +235,7 @@ class _Recorder:
         receptions: Dict[int, Message],
         collision_ids: np.ndarray,
     ) -> None:
+        self.skip_to(r - 1)
         self.trace.append(
             RoundRecord(
                 round_number=r,
@@ -204,11 +245,199 @@ class _Recorder:
             )
         )
 
+    def skip_to(self, r: int) -> None:
+        """Append an empty record for every round after the last one up to ``r``."""
+        for rnd in range(self.trace.num_rounds + 1, r + 1):
+            self.trace.append(RoundRecord(rnd, {}, {}, frozenset()))
+
     def summary_round(self, r: int, **kwargs) -> None:
         if not self.per_node:
             kwargs["informed"] = ()
             kwargs["ack_hearers"] = ()
         self.trace.record_summary_round(r, **kwargs)
+
+
+class _Aggregates:
+    """Whole-run summary/none trace aggregates of one instance or a stacked batch.
+
+    Instance ``b`` owns the node range ``[offsets[b], offsets[b+1])`` and
+    ``owner`` maps each stacked node to its instance (all zeros for a single
+    instance).  Totals live in length-B arrays, each grown by one ``bincount``
+    over ``owner`` per round; per-node first-informed / first-ack / last-ack
+    rounds in stacked arrays (0 = never; real rounds start at 1), exactly the
+    state the incremental trace recorder would have built.  :meth:`trace_for`
+    charges the paper's message sizes from those totals: 2 bits per non-µ
+    message plus the stamps' bits plus ``fixed_extra`` (READY / ack
+    payloads), and the payload once per µ message plus ``payload_extra``.
+    """
+
+    def __init__(
+        self,
+        tasks: Sequence[SimulationTask],
+        offsets: Optional[np.ndarray] = None,
+        owner: Optional[np.ndarray] = None,
+    ) -> None:
+        self.tasks = list(tasks)
+        self.B = len(self.tasks)
+        if offsets is None:
+            offsets = np.array([0, self.tasks[0].graph.n], dtype=np.int64)
+        total = int(offsets[-1])
+        self.offsets = offsets
+        self.owner = np.zeros(total, dtype=np.int64) if owner is None else owner
+        self.per_node = any(t.trace_level != "none" for t in self.tasks)
+        self.tx = np.zeros(self.B, dtype=np.int64)
+        self.rx = np.zeros(self.B, dtype=np.int64)
+        self.col = np.zeros(self.B, dtype=np.int64)
+        self.kinds = np.zeros(self.B * _N_KINDS, dtype=np.int64)
+        self.stamp_bits = np.zeros(self.B, dtype=np.int64)
+        self.fixed_extra = np.zeros(self.B, dtype=np.int64)
+        self.payload_extra = np.zeros(self.B, dtype=np.int64)
+        self.first_informed = np.zeros(total, dtype=np.int64)
+        self.ack_first = np.zeros(total, dtype=np.int64)
+        self.ack_last = np.zeros(total, dtype=np.int64)
+
+    def _counts(self, ids: np.ndarray) -> np.ndarray:
+        return np.bincount(self.owner[ids], minlength=self.B)
+
+    def add_channel(self, tx_ids, hears_ids, collision_ids) -> None:
+        self.tx += self._counts(tx_ids)
+        self.rx += self._counts(hears_ids)
+        self.col += self._counts(collision_ids)
+
+    def add_tx(self, tx_ids: np.ndarray, kinds, stamps: Optional[np.ndarray] = None) -> None:
+        """Count one round's transmitters by kind: ``kinds`` is one code for
+        all of them or an array aligned with ``tx_ids``; ``stamps`` are their
+        round stamps, if the messages carry any."""
+        if not tx_ids.size:
+            return
+        owners = self.owner[tx_ids]
+        self.kinds += np.bincount(owners * _N_KINDS + kinds, minlength=self.B * _N_KINDS)
+        if stamps is not None:
+            self.stamp_bits += np.bincount(
+                owners, weights=_stamp_bits(stamps), minlength=self.B
+            ).astype(np.int64)
+
+    def mark_informed(self, ids: np.ndarray, r: int) -> None:
+        if ids.size and self.per_node:
+            unset = self.first_informed[ids] == 0
+            self.first_informed[ids[unset]] = r
+
+    def mark_acks(self, ids: np.ndarray, r: int) -> None:
+        if ids.size and self.per_node:
+            unset = self.ack_first[ids] == 0
+            self.ack_first[ids[unset]] = r
+            self.ack_last[ids] = r
+
+    def kind_count(self, b: int, code: int) -> int:
+        return int(self.kinds[b * _N_KINDS + code])
+
+    def trace_for(self, b: int, num_rounds: int) -> ExecutionTrace:
+        task = self.tasks[b]
+        lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
+        hist = self.kinds[b * _N_KINDS : (b + 1) * _N_KINDS]
+        n_src = int(hist[_K_SOURCE])
+        maps: Dict[str, _RoundMap] = {}
+        if task.trace_level != "none":
+            maps = {
+                "informed_first": _RoundMap(self.first_informed[lo:hi]),
+                "ack_first": _RoundMap(self.ack_first[lo:hi]),
+                "ack_last": _RoundMap(self.ack_last[lo:hi]),
+            }
+        return ExecutionTrace.from_aggregates(
+            task.graph.n,
+            task.source,
+            level=task.trace_level,
+            num_rounds=int(num_rounds),
+            total_transmissions=int(self.tx[b]),
+            total_receptions=int(self.rx[b]),
+            total_collisions=int(self.col[b]),
+            kind_hist={
+                name: int(hist[code]) for code, name in _KIND_NAMES.items() if hist[code]
+            },
+            fixed_bits=int(self.stamp_bits[b])
+            + 2 * (int(self.tx[b]) - n_src)
+            + int(self.fixed_extra[b]),
+            payload_messages=n_src + int(self.payload_extra[b]),
+            **maps,
+        )
+
+
+class _RoundMap:
+    """The ``{node: round}`` pairs of a per-node round array (0 = never),
+    handed to :meth:`ExecutionTrace.from_aggregates` without building an
+    intermediate dict: the trace builds the only copy."""
+
+    def __init__(self, rounds: np.ndarray) -> None:
+        self.nodes = np.flatnonzero(rounds)
+        self.rounds = rounds[self.nodes]
+
+    def items(self):
+        return zip(self.nodes.tolist(), self.rounds.tolist())
+
+
+def _ack_payload_cost(pay: Any) -> Tuple[int, int]:
+    """``(fixed bits, payload messages)`` an ack's payload adds to its size."""
+    if pay is None:
+        return 0, 0
+    if isinstance(pay, int):
+        return _int_payload_bits(pay), 0
+    return 0, 1
+
+
+# --------------------------------------------------------------------------- #
+# the calendar: rounds with work due
+# --------------------------------------------------------------------------- #
+class _Calendar:
+    """A heap of rounds, each with the entries filed for it grouped by rule.
+
+    Kernels file a candidate (an index array, or any item) under a rule key
+    the moment the event that enables it happens; :meth:`pop` hands back the
+    earliest round and its entries.  A round nothing was filed for has no
+    transmitter, so the kernels never visit it.
+    """
+
+    __slots__ = ("_due", "_heap")
+
+    def __init__(self) -> None:
+        self._due: Dict[int, Dict[Any, list]] = {}
+        self._heap: List[int] = []
+
+    def add(self, r: int, key: Any, item: Any) -> None:
+        slot = self._due.get(r)
+        if slot is None:
+            slot = self._due[r] = {}
+            heapq.heappush(self._heap, r)
+        items = slot.get(key)
+        if items is None:
+            slot[key] = [item]
+        else:
+            items.append(item)
+
+    def add_ids(self, r: int, key: Any, ids: np.ndarray) -> None:
+        if ids.size:
+            self.add(r, key, ids)
+
+    def next_round(self) -> Optional[int]:
+        return self._heap[0] if self._heap else None
+
+    def pop(self) -> Tuple[int, Dict[Any, list]]:
+        r = heapq.heappop(self._heap)
+        return r, self._due.pop(r)
+
+
+#: Calendar key of a bare "visit this round" entry (a start or a timer).
+_TIMER = -1
+
+
+def _due(entries: Dict[Any, list], key: Any) -> np.ndarray:
+    return _cat(entries.get(key, ()))
+
+
+def _finish(rec, agg, stop_round: int) -> ExecutionTrace:
+    if agg is not None:
+        return agg.trace_for(0, stop_round)
+    rec.skip_to(stop_round)
+    return rec.trace
 
 
 # --------------------------------------------------------------------------- #
@@ -220,81 +449,84 @@ def _run_broadcast_kernel(task: SimulationTask, channel=None) -> BackendResult:
     payload = task.payload
     if channel is None:
         channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
+    full = task.trace_level == "full"
+    rec = _Recorder(n, src, task.trace_level) if full else None
+    agg = None if full else _Aggregates([task])
     x1, x2, _ = _parse_bit_labels(task.labels, n)
 
     informed = np.zeros(n, dtype=bool)
     informed[src] = True
     informed_count = 1
-    informed_r = np.full(n, _NEVER, dtype=np.int64)
-    sent_src_prev = np.zeros(n, dtype=bool)
-    sent_src_prev2 = np.zeros(n, dtype=bool)
-    heard_stay_prev = np.zeros(n, dtype=bool)
+    last_src = np.full(n, _NEVER, dtype=np.int64)  # round of each node's last µ
+    tx_kind = np.zeros(n, dtype=np.int8)  # this round's kinds; 0 between rounds
+
+    # Algorithm 1: the source sends µ in round 1; a node informed in round r
+    # sends stay in r+1 (bit x2) and µ in r+2 (bit x1); a node that hears
+    # stay in r after sending µ in r-1 sends µ again in r+1.
+    cal = _Calendar()
+    cal.add(1, _K_SOURCE, np.array([src], dtype=np.int64))
 
     completion: Optional[int] = None
-    stop_round, stop_reason = 0, "budget"
+    stop_round, stop_reason = max(task.max_rounds, 0), "budget"
 
-    for r in range(1, task.max_rounds + 1):
-        # Decide (Algorithm 1, in the object protocol's priority order).
-        m3 = informed_r == r - 2
-        m4 = informed_r == r - 1
-        tx_source = (m3 & x1) | (informed & ~m3 & ~m4 & sent_src_prev2 & heard_stay_prev)
-        if r == 1:
-            tx_source[src] = True
-        tx_stay = m4 & x2
+    while True:
+        r = cal.next_round()
+        if r is None or r > task.max_rounds:
+            break
+        r, due = cal.pop()
+        src_ids = _due(due, _K_SOURCE)
+        stay_ids = _due(due, _K_STAY)
+        tx_kind[src_ids] = _K_SOURCE
+        tx_kind[stay_ids] = _K_STAY
+        tx_ids, hears_ids, senders, collision_ids = channel.resolve_ids(
+            _cat([a for a in (src_ids, stay_ids) if a.size])
+        )
 
-        # Channel.
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_source | tx_stay)
-
-        # Deliver.
-        heard_stay_now = np.zeros(n, dtype=bool)
+        mu_hearers = hears_ids
         if hears_ids.size:
-            sender_is_stay = tx_stay[senders]
-            heard_stay_now[hears_ids[sender_is_stay]] = True
-            mu_hearers = hears_ids[~sender_is_stay]
+            if stay_ids.size:
+                sender_is_stay = tx_kind[senders] == _K_STAY
+                stay_hearers = hears_ids[sender_is_stay]
+                mu_hearers = hears_ids[~sender_is_stay]
+                cal.add_ids(
+                    r + 1, _K_SOURCE, stay_hearers[last_src[stay_hearers] == r - 1]
+                )
             new_ids = mu_hearers[~informed[mu_hearers]]
-            informed[new_ids] = True
-            informed_r[new_ids] = r
-            informed_count += new_ids.size
-        else:
-            mu_hearers = _EMPTY
+            if new_ids.size:
+                informed[new_ids] = True
+                informed_count += new_ids.size
+                cal.add_ids(r + 1, _K_STAY, new_ids[x2[new_ids]])
+                cal.add_ids(r + 2, _K_SOURCE, new_ids[x1[new_ids]])
 
-        # Record.
-        n_src_tx = int(np.count_nonzero(tx_source))
-        n_stay_tx = int(tx_ids.size) - n_src_tx
-        if rec.full:
+        if full:
             src_msg, stay_msg = source_message(payload), stay_message()
             transmissions = {
-                int(u): (src_msg if tx_source[u] else stay_msg) for u in tx_ids
+                int(u): (src_msg if tx_kind[u] == _K_SOURCE else stay_msg)
+                for u in tx_ids
             }
             receptions = {
                 int(v): transmissions[int(u)] for v, u in zip(hears_ids, senders)
             }
             rec.full_round(r, transmissions, receptions, collision_ids)
         else:
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds={"source": n_src_tx, "stay": n_stay_tx},
-                fixed_bits=2 * n_stay_tx,
-                payload_messages=n_src_tx,
-                informed=mu_hearers,
-                ack_hearers=(),
-            )
+            agg.add_channel(tx_ids, hears_ids, collision_ids)
+            agg.add_tx(src_ids, _K_SOURCE)
+            agg.add_tx(stay_ids, _K_STAY)
+            agg.mark_informed(mu_hearers, r)
+        tx_kind[tx_ids] = _K_NONE
+        last_src[src_ids] = r
 
-        sent_src_prev2, sent_src_prev = sent_src_prev, tx_source
-        heard_stay_prev = heard_stay_now
-        stop_round = r
         if completion is None and informed_count == n:
             completion = r
         if task.stop_rule == "all_informed" and informed_count == n:
-            stop_reason = "condition"
+            stop_round, stop_reason = r, "condition"
             break
 
     sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
+        trace=_finish(rec, agg, stop_round),
+        nodes=[],
+        stop_round=stop_round,
+        stop_reason=stop_reason,
     )
     return BackendResult(simulation=sim, derived={"completion_round": completion})
 
@@ -302,83 +534,109 @@ def _run_broadcast_kernel(task: SimulationTask, channel=None) -> BackendResult:
 # --------------------------------------------------------------------------- #
 # Algorithm B_ack — acknowledged broadcast
 # --------------------------------------------------------------------------- #
+# Calendar keys of B_ack's rules (Algorithm 2's line numbers in comments).
+_ACK_MU = 0  # lines 12-16: informed at r-2 with x1 sends (µ, stamp + 2)
+_ACK_START = 1  # lines 17-22: informed at r-1 with x3 starts the ack
+_ACK_STAY = 2  # lines 17-22: informed at r-1 with x2 (not x3) sends stay
+_ACK_RESEND = 3  # lines 23-27: heard stay at r-1 after sending µ at r-2
+_ACK_RELAY = 4  # lines 28-31: heard an ack at r-1 (the chain walks back)
+
+
 def _run_acknowledged_kernel(task: SimulationTask) -> BackendResult:
     graph, n = task.graph, task.graph.n
     src = task.source
     payload = task.payload
     channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
+    full = task.trace_level == "full"
+    rec = _Recorder(n, src, task.trace_level) if full else None
+    agg = None if full else _Aggregates([task])
     x1, x2, x3 = _parse_bit_labels(task.labels, n)
+    x2_only = x2 & ~x3
 
     informed = np.zeros(n, dtype=bool)
     informed[src] = True
     informed_count = 1
     informed_r = np.full(n, _NEVER, dtype=np.int64)
     informed_stamp = np.zeros(n, dtype=np.int64)
-    sent_src_prev = np.zeros(n, dtype=bool)
-    sent_src_prev2 = np.zeros(n, dtype=bool)
-    heard_stay_prev = np.zeros(n, dtype=bool)
+    last_src = np.full(n, _NEVER, dtype=np.int64)  # round of each node's last µ
     heard_stay_stamp = np.zeros(n, dtype=np.int64)
-    prev_acks: List[Tuple[int, int]] = []  # (hearer, heard stamp) from last round
+    tx_kind = np.zeros(n, dtype=np.int8)  # this round's kinds; 0 between rounds
+    tx_stamp = np.zeros(n, dtype=np.int64)
     transmit_stamps: Dict[int, Set[int]] = {}
+
+    cal = _Calendar()
+    cal.add(1, _TIMER, None)  # lines 4-5: the source transmits (µ, 1)
 
     first_ack_round: Optional[int] = None
     completion: Optional[int] = None
-    stop_round, stop_reason = 0, "budget"
+    stop_round, stop_reason = max(task.max_rounds, 0), "budget"
 
-    for r in range(1, task.max_rounds + 1):
-        tx_kind = np.zeros(n, dtype=np.int8)
-        tx_stamp = np.zeros(n, dtype=np.int64)
+    while True:
+        r = cal.next_round()
+        if r is None or r > task.max_rounds:
+            break
+        r, due = cal.pop()
 
-        # Algorithm 2, branch for branch.
-        if r == 1:  # lines 4-5: the source transmits (µ, 1)
+        # Algorithm 2, branch for branch.  The first four rules' candidates
+        # are disjoint (informed at r-2, informed at r-1, heard stay at r-1);
+        # the relay rule yields to all of them.
+        parts: List[np.ndarray] = []
+        src_parts: List[np.ndarray] = []
+        if r == 1:
             tx_kind[src] = _K_SOURCE
             tx_stamp[src] = 1
-        m3 = informed_r == r - 2
-        m4 = informed_r == r - 1
-        a3 = m3 & x1  # lines 12-16
-        if a3.any():
-            ids = np.flatnonzero(a3)
+            src_parts.append(np.array([src], dtype=np.int64))
+        ids = _due(due, _ACK_MU)
+        if ids.size:
             stamps = informed_stamp[ids] + 2
             tx_kind[ids] = _K_SOURCE
             tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                transmit_stamps.setdefault(int(v), set()).add(int(s))
-        a4_ack = m4 & x3  # lines 17-22
-        tx_kind[a4_ack] = _K_ACK
-        tx_stamp[a4_ack] = informed_stamp[a4_ack]
-        a4_stay = m4 & ~x3 & x2
-        tx_kind[a4_stay] = _K_STAY
-        tx_stamp[a4_stay] = informed_stamp[a4_stay] + 1
-        # lines 23-27: nodes that heard "stay" return here whether or not they
-        # retransmit, so they are excluded from the ack-relay rule below.
-        m5 = informed & ~m3 & ~m4 & heard_stay_prev
-        a5 = m5 & sent_src_prev2
-        if a5.any():
-            ids = np.flatnonzero(a5)
+            for v, s in zip(ids.tolist(), stamps.tolist()):
+                transmit_stamps.setdefault(v, set()).add(s)
+            src_parts.append(ids)
+        ids = _due(due, _ACK_START)
+        if ids.size:
+            tx_kind[ids] = _K_ACK
+            tx_stamp[ids] = informed_stamp[ids]
+            parts.append(ids)
+        ids = _due(due, _ACK_STAY)
+        if ids.size:
+            tx_kind[ids] = _K_STAY
+            tx_stamp[ids] = informed_stamp[ids] + 1
+            parts.append(ids)
+        ids = _due(due, _ACK_RESEND)
+        if ids.size:
             stamps = heard_stay_stamp[ids] + 1
             tx_kind[ids] = _K_SOURCE
             tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                if int(v) != src:
-                    transmit_stamps.setdefault(int(v), set()).add(int(s))
-        for v, heard_stamp in prev_acks:  # lines 28-31 (sparse: the ack chain)
-            if v == src or not informed[v]:
-                continue
-            ir = informed_r[v]
-            if ir == r - 2 or ir == r - 1 or heard_stay_prev[v] or tx_kind[v]:
-                continue
-            if heard_stamp in transmit_stamps.get(v, ()):
-                tx_kind[v] = _K_ACK
-                tx_stamp[v] = informed_stamp[v]
+            for v, s in zip(ids.tolist(), stamps.tolist()):
+                if v != src:
+                    transmit_stamps.setdefault(v, set()).add(s)
+            src_parts.append(ids)
+        relays: List[int] = []
+        for hearers, heard in due.get(_ACK_RELAY, ()):
+            for v, heard_stamp in zip(hearers.tolist(), heard.tolist()):
+                if v == src or not informed[v]:
+                    continue
+                ir = informed_r[v]
+                # A node that heard an ack at r-1 heard no stay then, so
+                # only the informed-at-r-2 exclusion and priority remain.
+                if ir == r - 2 or ir == r - 1 or tx_kind[v]:
+                    continue
+                if heard_stamp in transmit_stamps.get(v, ()):
+                    tx_kind[v] = _K_ACK
+                    tx_stamp[v] = informed_stamp[v]
+                    relays.append(v)
+        if relays:
+            parts.append(np.array(relays, dtype=np.int64))
+        src_ids = _cat(src_parts)
 
         # Channel.
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_kind > 0)
+        tx_ids, hears_ids, senders, collision_ids = channel.resolve_ids(
+            _cat([a for a in (src_ids, *parts) if a.size])
+        )
 
         # Deliver.
-        heard_stay_now = np.zeros(n, dtype=bool)
-        heard_stay_stamp_now = np.zeros(n, dtype=np.int64)
-        next_acks: List[Tuple[int, int]] = []
         mu_hearers = _EMPTY
         ack_hearers = _EMPTY
         if hears_ids.size:
@@ -388,27 +646,32 @@ def _run_acknowledged_kernel(task: SimulationTask) -> BackendResult:
             mu_hearers = hears_ids[mu_sel]
             new_sel = mu_sel & ~informed[hears_ids]
             new_ids = hears_ids[new_sel]
-            informed[new_ids] = True
-            informed_r[new_ids] = r
-            informed_stamp[new_ids] = heard_stamp[new_sel]
-            informed_count += new_ids.size
+            if new_ids.size:
+                informed[new_ids] = True
+                informed_r[new_ids] = r
+                informed_stamp[new_ids] = heard_stamp[new_sel]
+                informed_count += new_ids.size
+                cal.add_ids(r + 2, _ACK_MU, new_ids[x1[new_ids]])
+                cal.add_ids(r + 1, _ACK_START, new_ids[x3[new_ids]])
+                cal.add_ids(r + 1, _ACK_STAY, new_ids[x2_only[new_ids]])
             stay_sel = heard_kind == _K_STAY
-            heard_stay_now[hears_ids[stay_sel]] = True
-            heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
+            if stay_sel.any():
+                stay_hearers = hears_ids[stay_sel]
+                heard_stay_stamp[stay_hearers] = heard_stamp[stay_sel]
+                cal.add_ids(
+                    r + 1, _ACK_RESEND, stay_hearers[last_src[stay_hearers] == r - 1]
+                )
             ack_sel = heard_kind == _K_ACK
-            ack_hearers = hears_ids[ack_sel]
-            next_acks = [
-                (int(v), int(s))
-                for v, s in zip(ack_hearers, heard_stamp[ack_sel])
-            ]
-            if first_ack_round is None and np.any(ack_hearers == src):
-                first_ack_round = r
+            if ack_sel.any():
+                ack_hearers = hears_ids[ack_sel]
+                cal.add(r + 1, _ACK_RELAY, (ack_hearers, heard_stamp[ack_sel]))
+                if first_ack_round is None and np.any(ack_hearers == src):
+                    first_ack_round = r
 
         # Record.
-        if rec.full:
+        if full:
             transmissions: Dict[int, Message] = {}
-            for u in tx_ids:
-                u = int(u)
+            for u in tx_ids.tolist():
                 stamp = int(tx_stamp[u])
                 if tx_kind[u] == _K_SOURCE:
                     transmissions[u] = source_message(payload, round_stamp=stamp)
@@ -421,39 +684,27 @@ def _run_acknowledged_kernel(task: SimulationTask) -> BackendResult:
             }
             rec.full_round(r, transmissions, receptions, collision_ids)
         else:
-            stamps = tx_stamp[tx_ids]
-            n_src_tx = int(np.count_nonzero(tx_kind[tx_ids] == _K_SOURCE))
-            n_stay_tx = int(np.count_nonzero(tx_kind[tx_ids] == _K_STAY))
-            n_ack_tx = int(tx_ids.size) - n_src_tx - n_stay_tx
-            fixed = int(_stamp_bits(stamps).sum()) + 2 * (n_stay_tx + n_ack_tx)
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds={"source": n_src_tx, "stay": n_stay_tx, "ack": n_ack_tx},
-                fixed_bits=fixed,
-                payload_messages=n_src_tx,
-                informed=mu_hearers,
-                ack_hearers=ack_hearers,
-            )
+            agg.add_channel(tx_ids, hears_ids, collision_ids)
+            agg.add_tx(tx_ids, tx_kind[tx_ids], tx_stamp[tx_ids])
+            agg.mark_informed(mu_hearers, r)
+            agg.mark_acks(ack_hearers, r)
+        tx_kind[tx_ids] = _K_NONE
+        last_src[src_ids] = r
 
-        sent_src_prev2, sent_src_prev = sent_src_prev, tx_kind == _K_SOURCE
-        heard_stay_prev = heard_stay_now
-        heard_stay_stamp = heard_stay_stamp_now
-        prev_acks = next_acks
-        stop_round = r
         if completion is None and informed_count == n:
             completion = r
         if task.stop_rule == "acknowledged" and first_ack_round is not None:
-            stop_reason = "condition"
+            stop_round, stop_reason = r, "condition"
             break
         if task.stop_rule == "all_informed" and informed_count == n:
-            stop_reason = "condition"
+            stop_round, stop_reason = r, "condition"
             break
 
     sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
+        trace=_finish(rec, agg, stop_round),
+        nodes=[],
+        stop_round=stop_round,
+        stop_reason=stop_reason,
     )
     derived = {
         "completion_round": completion,
@@ -465,12 +716,23 @@ def _run_acknowledged_kernel(task: SimulationTask) -> BackendResult:
 # --------------------------------------------------------------------------- #
 # Algorithm B_arb — arbitrary-source broadcast
 # --------------------------------------------------------------------------- #
+# Calendar keys of B_arb's rules; keys 0-2 and 4-6 are per phase k
+# (0 = initialize, 1 = ready, 2 = source).
+_ARB_MU = 0  # + k: informed in phase k at r-2 with x1 relays the phase message
+_ARB_ACK = 3  # informed in phase 0 at r-1 with x3 starts the phase-1 ack
+_ARB_STAY = 4  # + k: informed in phase k at r-1 with x2 sends stay
+_ARB_RESEND = 7  # heard stay at r-1 after sending a phase message at r-2
+_ARB_RELAY = 8  # heard an ack at r-1
+
+
 def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
     graph, n = task.graph, task.graph.n
     src = task.source  # the node actually holding µ (the paper's s_G)
     payload = task.payload
     channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
+    full = task.trace_level == "full"
+    rec = _Recorder(n, src, task.trace_level) if full else None
+    agg = None if full else _Aggregates([task])
     x1, x2, x3 = _parse_bit_labels(task.labels, n)
 
     coordinator = task.extras.get("coordinator")
@@ -489,13 +751,14 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
     t_v[c] = 0
     T_arr = np.full(n, -1, dtype=np.int64)
     known = np.zeros(n, dtype=bool)
+    known_count = 0
     completion_known = np.zeros(n, dtype=np.int64)
 
-    sent_kind_prev = np.zeros(n, dtype=np.int8)
-    sent_kind_prev2 = np.zeros(n, dtype=np.int8)
-    heard_stay_prev = np.zeros(n, dtype=bool)
+    last_kind = np.zeros(n, dtype=np.int8)  # kind and round of each node's
+    last_tx_r = np.full(n, _NEVER, dtype=np.int64)  # latest transmission
     heard_stay_stamp = np.zeros(n, dtype=np.int64)
-    prev_acks: List[Tuple[int, int, Any]] = []  # (hearer, stamp, ack payload)
+    tx_kind = np.zeros(n, dtype=np.int8)  # this round's kinds; 0 between rounds
+    tx_stamp = np.zeros(n, dtype=np.int64)
 
     # Coordinator / actual-source scheduling state.
     T_c: Optional[int] = None
@@ -507,96 +770,94 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
     coord_ack_first: Optional[int] = None
     coord_ack_last: Optional[int] = None
 
-    def phase_payload(kind_code: int) -> Any:
-        if kind_code == _K_INIT:
-            return None
-        if kind_code == _K_READY:
-            return T_c
-        return payload
+    cal = _Calendar()
+    cal.add(1, _TIMER, None)  # the coordinator's initialize
 
-    stop_round, stop_reason = 0, "budget"
+    stop_round, stop_reason = max(task.max_rounds, 0), "budget"
 
-    for r in range(1, task.max_rounds + 1):
-        tx_kind = np.zeros(n, dtype=np.int8)
-        tx_stamp = np.zeros(n, dtype=np.int64)
+    while True:
+        r = cal.next_round()
+        if r is None or r > task.max_rounds:
+            break
+        r, due = cal.pop()
+        parts: List[np.ndarray] = []
         ack_payloads: Dict[int, Any] = {}
-        decided = np.zeros(n, dtype=bool)
 
         # Coordinator phase starts (checked first, as in the object protocol;
         # its local clock starts at 1, so the global stamp is just r).
+        coord_kind = _K_NONE
         if r == 1:
-            tx_kind[c] = _K_INIT
-            tx_stamp[c] = 1
-            decided[c] = True
+            coord_kind = _K_INIT
         elif sched_ready == r and T_c is not None:
             ready_sent = r
             if c == src:
                 sched_source = r + T_c + 1
-            tx_kind[c] = _K_READY
-            tx_stamp[c] = r
-            decided[c] = True
+                cal.add(sched_source, _TIMER, None)
+            coord_kind = _K_READY
         elif sched_source == r and learned_payload is not None:
-            known[c] = True
+            if not known[c]:
+                known[c] = True
+                known_count += 1
             completion_known[c] = r + (T_c or 0) - 1
-            tx_kind[c] = _K_SOURCE
+            coord_kind = _K_SOURCE
+        if coord_kind:
+            tx_kind[c] = coord_kind
             tx_stamp[c] = r
-            decided[c] = True
+            parts.append(np.array([c], dtype=np.int64))
 
         # The actual source starts the phase-2 acknowledgement after its timer.
-        if sched_src_ack == r and not decided[src]:
+        if sched_src_ack == r and not tx_kind[src]:
             tx_kind[src] = _K_ACK
             tx_stamp[src] = ph_stamp[1][src]
             ack_payloads[src] = payload
-            decided[src] = True
+            parts.append(np.array([src], dtype=np.int64))
 
-        # Shared B_ack rules, per phase, in phase order.
-        und = ~decided
+        # Shared B_ack rules, per phase, in phase order; each rule takes only
+        # the candidates no earlier rule decided.
         for k in range(3):
-            inf_k = ph_inf[k]
             stamp_k = ph_stamp[k]
-            mA = und & (inf_k == r - 2) & x1
-            if mA.any():
-                ids = np.flatnonzero(mA)
+            ids = _due(due, _ARB_MU + k)
+            if ids.size:
+                ids = ids[tx_kind[ids] == _K_NONE]
                 stamps = stamp_k[ids] + 2
                 tx_kind[ids] = _K_INIT + k
                 tx_stamp[ids] = stamps
-                for v, s in zip(ids, stamps):
-                    transmit_stamps[k].setdefault(int(v), set()).add(int(s))
-                und &= ~mA
-            newly1 = inf_k == r - 1
+                for v, s in zip(ids.tolist(), stamps.tolist()):
+                    transmit_stamps[k].setdefault(v, set()).add(s)
+                parts.append(ids)
             if k == 0:  # z starts the phase-1 ack, appending T = t_z
-                mAck = und & newly1 & x3
-                if mAck.any():
-                    ids = np.flatnonzero(mAck)
+                ids = _due(due, _ARB_ACK)
+                if ids.size:
+                    ids = ids[tx_kind[ids] == _K_NONE]
                     tx_kind[ids] = _K_ACK
                     tx_stamp[ids] = stamp_k[ids]
-                    for v in ids:
-                        ack_payloads[int(v)] = int(stamp_k[v])
-                    und &= ~mAck
-            mStay = und & newly1 & x2
-            if mStay.any():
-                tx_kind[mStay] = _K_STAY
-                tx_stamp[mStay] = stamp_k[mStay] + 1
-                und &= ~mStay
+                    for v, s in zip(ids.tolist(), stamp_k[ids].tolist()):
+                        ack_payloads[v] = s
+                    parts.append(ids)
+            ids = _due(due, _ARB_STAY + k)
+            if ids.size:
+                ids = ids[tx_kind[ids] == _K_NONE]
+                tx_kind[ids] = _K_STAY
+                tx_stamp[ids] = stamp_k[ids] + 1
+                parts.append(ids)
 
         # Stay-triggered retransmission (any phase, coordinator included).
-        mS = und & heard_stay_prev
-        aS = mS & (sent_kind_prev2 >= _K_INIT) & (sent_kind_prev2 <= _K_SOURCE)
-        if aS.any():
-            ids = np.flatnonzero(aS)
+        ids = _due(due, _ARB_RESEND)
+        if ids.size:
+            ids = ids[tx_kind[ids] == _K_NONE]
+            kinds = last_kind[ids]
             stamps = heard_stay_stamp[ids] + 1
-            tx_kind[ids] = sent_kind_prev2[ids]
+            tx_kind[ids] = kinds
             tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                if int(v) != c:
-                    transmit_stamps[int(sent_kind_prev2[v]) - _K_INIT].setdefault(
-                        int(v), set()
-                    ).add(int(s))
-            und &= ~aS
+            for v, kind, s in zip(ids.tolist(), kinds.tolist(), stamps.tolist()):
+                if v != c:
+                    transmit_stamps[kind - _K_INIT].setdefault(v, set()).add(s)
+            parts.append(ids)
 
         # Ack relaying (sparse: the chain walks back one hop per round).
-        for v, heard_stamp, ack_pay in prev_acks:
-            if v == c or not und[v] or tx_kind[v]:
+        relays: List[int] = []
+        for v, heard_stamp, ack_pay in due.get(_ARB_RELAY, ()):
+            if v == c or tx_kind[v]:
                 continue
             for k in range(3):
                 stamps_v = transmit_stamps[k].get(v)
@@ -604,15 +865,17 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
                     tx_kind[v] = _K_ACK
                     tx_stamp[v] = ph_stamp[k][v]
                     ack_payloads[v] = ack_pay
+                    relays.append(v)
                     break
+        if relays:
+            parts.append(np.array(relays, dtype=np.int64))
 
         # Channel.
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_kind > 0)
+        tx_ids, hears_ids, senders, collision_ids = channel.resolve_ids(
+            _cat([a for a in parts if a.size])
+        )
 
         # Deliver.
-        heard_stay_now = np.zeros(n, dtype=bool)
-        heard_stay_stamp_now = np.zeros(n, dtype=np.int64)
-        next_acks: List[Tuple[int, int, Any]] = []
         mu_hearers = _EMPTY
         ack_hearers = _EMPTY
         if hears_ids.size:
@@ -630,49 +893,65 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
                     continue
                 ph_inf[k][vs] = r
                 ph_stamp[k][vs] = sts
+                cal.add_ids(r + 2, _ARB_MU + k, vs[x1[vs]])
+                if k == 0:
+                    cal.add_ids(r + 1, _ARB_ACK, vs[x3[vs]])
+                cal.add_ids(r + 1, _ARB_STAY + k, vs[x2[vs]])
                 if k == 0:
                     t_v[vs] = sts
                 elif k == 1:
                     T_arr[vs] = T_c if T_c is not None else 0
                     if np.any(vs == src):
                         sched_src_ack = r + int(T_arr[src]) + 1
+                        cal.add(sched_src_ack, _TIMER, None)
                 else:
                     ready_t = (T_arr[vs] >= 0) & (t_v[vs] >= 0)
                     done = vs[ready_t]
                     known[done] = True
+                    known_count += done.size
                     completion_known[done] = r + T_arr[done] - t_v[done]
             mu_hearers = hears_ids[heard_kind == _K_SOURCE]
             stay_sel = heard_kind == _K_STAY
-            heard_stay_now[hears_ids[stay_sel]] = True
-            heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
+            if stay_sel.any():
+                stay_hearers = hears_ids[stay_sel]
+                heard_stay_stamp[stay_hearers] = heard_stamp[stay_sel]
+                sent = last_kind[stay_hearers]
+                resend = (
+                    (last_tx_r[stay_hearers] == r - 1)
+                    & (sent >= _K_INIT)
+                    & (sent <= _K_SOURCE)
+                )
+                cal.add_ids(r + 1, _ARB_RESEND, stay_hearers[resend])
             ack_sel = heard_kind == _K_ACK
             ack_hearers = hears_ids[ack_sel]
-            if ack_hearers.size:
-                for v, s, u in zip(
-                    ack_hearers, heard_stamp[ack_sel], senders[ack_sel]
-                ):
-                    pay = ack_payloads.get(int(u))
-                    next_acks.append((int(v), int(s), pay))
-                    if int(v) == c:
-                        coord_ack_last = r
-                        if coord_ack_first is None:
-                            coord_ack_first = r
-                        if T_c is None:
-                            T_c = int(pay) if pay is not None else 0
-                            sched_ready = r + T_c + 1
-                        elif (
-                            ready_sent is not None
-                            and r > ready_sent
-                            and sched_source is None
-                        ):
-                            learned_payload = pay
-                            sched_source = r + T_c + 1
+            for v, s, u in zip(
+                ack_hearers.tolist(),
+                heard_stamp[ack_sel].tolist(),
+                senders[ack_sel].tolist(),
+            ):
+                pay = ack_payloads.get(u)
+                cal.add(r + 1, _ARB_RELAY, (v, s, pay))
+                if v == c:
+                    coord_ack_last = r
+                    if coord_ack_first is None:
+                        coord_ack_first = r
+                    if T_c is None:
+                        T_c = int(pay) if pay is not None else 0
+                        sched_ready = r + T_c + 1
+                        cal.add(sched_ready, _TIMER, None)
+                    elif (
+                        ready_sent is not None
+                        and r > ready_sent
+                        and sched_source is None
+                    ):
+                        learned_payload = pay
+                        sched_source = r + T_c + 1
+                        cal.add(sched_source, _TIMER, None)
 
         # Record.
-        if rec.full:
+        if full:
             transmissions: Dict[int, Message] = {}
-            for u in tx_ids:
-                u = int(u)
+            for u in tx_ids.tolist():
                 kind = int(tx_kind[u])
                 stamp = int(tx_stamp[u])
                 if kind == _K_INIT:
@@ -680,7 +959,9 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
                 elif kind == _K_READY:
                     transmissions[u] = ready_message(int(T_c or 0), round_stamp=stamp)
                 elif kind == _K_SOURCE:
-                    transmissions[u] = source_message(payload, round_stamp=stamp)
+                    # Phase 3 relays what the coordinator learned from the
+                    # phase-2 ack (µ itself, unless the labels are not λ_arb's).
+                    transmissions[u] = source_message(learned_payload, round_stamp=stamp)
                 elif kind == _K_STAY:
                     transmissions[u] = stay_message(round_stamp=stamp)
                 else:
@@ -690,79 +971,53 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
             }
             rec.full_round(r, transmissions, receptions, collision_ids)
         else:
-            kinds_tx = tx_kind[tx_ids]
-            stamps = tx_stamp[tx_ids]
-            counts = {
-                name: int(np.count_nonzero(kinds_tx == code))
-                for code, name in _KIND_NAMES.items()
-                if np.any(kinds_tx == code)
-            }
-            n_src_tx = counts.get("source", 0)
-            n_ready_tx = counts.get("ready", 0)
-            non_source = int(tx_ids.size) - n_src_tx
-            fixed = int(_stamp_bits(stamps).sum()) + 2 * non_source
-            if n_ready_tx:
-                fixed += n_ready_tx * _int_payload_bits(T_c or 0)
-            payload_msgs = n_src_tx
-            for u in tx_ids[kinds_tx == _K_ACK]:
-                pay = ack_payloads.get(int(u))
-                if pay is None:
-                    continue
-                if isinstance(pay, int):
-                    fixed += _int_payload_bits(pay)
-                else:
-                    payload_msgs += 1
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds=counts,
-                fixed_bits=fixed,
-                payload_messages=payload_msgs,
-                informed=mu_hearers,
-                ack_hearers=ack_hearers,
-            )
+            agg.add_channel(tx_ids, hears_ids, collision_ids)
+            agg.add_tx(tx_ids, tx_kind[tx_ids], tx_stamp[tx_ids])
+            for pay in ack_payloads.values():
+                bits, msgs = _ack_payload_cost(pay)
+                agg.fixed_extra[0] += bits
+                agg.payload_extra[0] += msgs
+            agg.mark_informed(mu_hearers, r)
+            agg.mark_acks(ack_hearers, r)
+        last_kind[tx_ids] = tx_kind[tx_ids]
+        last_tx_r[tx_ids] = r
+        tx_kind[tx_ids] = _K_NONE
 
-        sent_kind_prev2, sent_kind_prev = sent_kind_prev, tx_kind
-        heard_stay_prev = heard_stay_now
-        heard_stay_stamp = heard_stay_stamp_now
-        prev_acks = next_acks
-        stop_round = r
-        if task.stop_rule == "arb_complete" and bool(known.all()):
-            stop_reason = "condition"
+        if task.stop_rule == "arb_complete" and known_count == n:
+            stop_round, stop_reason = r, "condition"
             break
 
     # Derived outcomes, mirroring the reference derivation in core.runner.
-    ack_round = coord_ack_first
-    receipt_rounds: List[int] = []
-    missing = False
-    for v in range(n):
-        if v in (src, c):
-            continue
-        if ph_inf[2][v] == _NEVER:
-            missing = True
-            break
-        receipt_rounds.append(int(ph_inf[2][v]))
+    others = np.ones(n, dtype=bool)
+    others[[src, c]] = False
+    receipts = ph_inf[2][others]
     coordinator_learned_round = coord_ack_last if c != src else None
     completion: Optional[int] = None
-    if not missing and (learned_payload is not None or c == src):
-        candidates = list(receipt_rounds)
+    if not (receipts == _NEVER).any() and (learned_payload is not None or c == src):
+        candidates = receipts.tolist()
         if coordinator_learned_round is not None:
             candidates.append(coordinator_learned_round)
         completion = max(candidates) if candidates else 1
     common: Optional[int] = None
-    if bool(known.all()) and n > 0:
+    if known_count == n and n > 0:
         values = np.unique(completion_known)
         if values.size == 1:
             common = int(values[0])
 
+    if agg is not None:
+        n_ready = agg.kind_count(0, _K_READY)
+        if n_ready:
+            # T is fixed from the moment the first READY exists.
+            agg.fixed_extra[0] += n_ready * _int_payload_bits(T_c or 0)
     sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
+        trace=_finish(rec, agg, stop_round),
+        nodes=[],
+        stop_round=stop_round,
+        stop_reason=stop_reason,
     )
     derived = {
         "completion_round": completion,
-        "acknowledgement_round": ack_round,
+        "acknowledgement_round": coord_ack_first,
         "common_completion_round": common,
         "coordinator": c,
     }
@@ -772,76 +1027,159 @@ def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
 # --------------------------------------------------------------------------- #
 # Source-flood baselines: round-robin / TDMA slots and centralized schedules
 # --------------------------------------------------------------------------- #
-def _run_source_flood(task: SimulationTask, tx_mask_for_round, channel=None) -> BackendResult:
+class _SlotCalendar:
+    """Round-robin / TDMA: node v may send in the rounds r ≡ slot (mod period).
+
+    Nodes sharing a (period, residue) pair form one bucket.  A bucket goes
+    on the heap, due at its next slot, once any of its nodes is informed,
+    and moves one period on each time its slot comes; in that round its
+    informed nodes transmit.  The heap holds one entry per live bucket, so
+    a quiet round costs nothing and memory stays O(buckets).
+    """
+
+    def __init__(self, labels, n: int) -> None:
+        slots, periods = _parse_slot_labels(labels, n)
+        top = int(periods.max())
+        keys, self.bucket_of = np.unique(
+            periods * top + slots % periods, return_inverse=True
+        )
+        self.period = (keys // top).tolist()
+        self.residue = (keys % top).tolist()
+        self.members = np.argsort(self.bucket_of, kind="stable")
+        self.bounds = np.searchsorted(
+            self.bucket_of[self.members], np.arange(keys.size + 1)
+        ).tolist()
+        self.live = np.zeros(keys.size, dtype=bool)
+        self._heap: List[Tuple[int, int]] = []
+
+    def informed(self, ids: np.ndarray, r: int) -> None:
+        """Put the buckets of nodes first informed in round ``r`` on the heap."""
+        buckets = self.bucket_of[ids]
+        for k in set(buckets[~self.live[buckets]].tolist()):
+            self.live[k] = True
+            p, res = self.period[k], self.residue[k]
+            heapq.heappush(self._heap, (r + 1 + (res - (r + 1)) % p, k))
+
+    def next_round(self) -> Optional[int]:
+        return self._heap[0][0] if self._heap else None
+
+    def pop(self) -> Tuple[int, List[int]]:
+        r, k = heapq.heappop(self._heap)
+        due = [k]
+        while self._heap and self._heap[0][0] == r:
+            due.append(heapq.heappop(self._heap)[1])
+        return r, due
+
+    def transmitters(self, r: int, due: List[int], informed: np.ndarray) -> np.ndarray:
+        ids = _cat([self.members[self.bounds[k] : self.bounds[k + 1]] for k in due])
+        for k in due:
+            heapq.heappush(self._heap, (r + self.period[k], k))
+        return ids[informed[ids]]
+
+
+class _ScheduleCalendar:
+    """Centralized schedule: round r's listed nodes transmit once informed."""
+
+    def __init__(self, schedule) -> None:
+        self.rounds = [
+            (r, np.unique(np.asarray(round_ids, dtype=np.int64)))
+            for r, round_ids in enumerate(schedule, start=1)
+            if len(round_ids)
+        ]
+        self.pos = 0
+
+    def informed(self, ids: np.ndarray, r: int) -> None:
+        pass
+
+    def next_round(self) -> Optional[int]:
+        return self.rounds[self.pos][0] if self.pos < len(self.rounds) else None
+
+    def pop(self) -> Tuple[int, np.ndarray]:
+        self.pos += 1
+        return self.rounds[self.pos - 1]
+
+    def transmitters(self, r: int, due: np.ndarray, informed: np.ndarray) -> np.ndarray:
+        return due[informed[due]]
+
+
+def _run_source_flood(task: SimulationTask, cal, channel=None) -> BackendResult:
     """Shared loop for baselines that only ever retransmit µ.
 
-    ``tx_mask_for_round(r, informed)`` returns the boolean transmit mask of
-    round ``r``; everything else — channel resolution, first-receipt
-    bookkeeping, trace recording, the ``all_informed`` stop rule — is
-    identical across the slotted and scheduled baselines.  ``channel`` lets a
-    caller substitute a drop-in replacement for the CSR :class:`_Channel`
-    (the ELL tier injects its padded-layout channel here so equivalence with
-    this loop holds by construction).
+    ``cal`` (a :class:`_SlotCalendar` or :class:`_ScheduleCalendar`) says
+    which rounds have candidates and which of them transmit; everything else
+    — channel resolution, first-receipt bookkeeping, trace recording, the
+    ``all_informed`` stop rule — is identical across the slotted and
+    scheduled baselines.  ``channel`` lets a caller substitute a drop-in
+    replacement for the CSR :class:`_Channel` (the ELL tier injects its
+    padded-layout channel here so equivalence with this loop holds by
+    construction).
     """
     graph, n = task.graph, task.graph.n
     src = task.source
     payload = task.payload
     if channel is None:
         channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
+    full = task.trace_level == "full"
+    rec = _Recorder(n, src, task.trace_level) if full else None
+    agg = None if full else _Aggregates([task])
 
     informed = np.zeros(n, dtype=bool)
     informed[src] = True
     informed_count = 1
+    cal.informed(np.array([src], dtype=np.int64), 0)
     completion: Optional[int] = None
-    stop_round, stop_reason = 0, "budget"
+    stop_round, stop_reason = max(task.max_rounds, 0), "budget"
 
-    for r in range(1, task.max_rounds + 1):
-        tx_mask = tx_mask_for_round(r, informed)
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_mask)
+    r = 0
+    while True:
+        # Round 1 is always visited, filed or not: with n == 1 the stop rule
+        # holds before anyone transmits, and round 1 is where it is checked.
+        nxt = cal.next_round()
+        if r == 0 and nxt != 1:
+            nxt = 1
+        if nxt is None or nxt > task.max_rounds:
+            break
+        if nxt == cal.next_round():
+            r, due = cal.pop()
+            tx = cal.transmitters(r, due, informed)
+        else:
+            r, tx = nxt, _EMPTY
+        tx_ids, hears_ids, senders, collision_ids = channel.resolve_ids(tx)
         if hears_ids.size:
             new_ids = hears_ids[~informed[hears_ids]]
-            informed[new_ids] = True
-            informed_count += new_ids.size
-        if rec.full:
+            if new_ids.size:
+                informed[new_ids] = True
+                informed_count += new_ids.size
+                cal.informed(new_ids, r)
+        if full:
             msg = source_message(payload)
             transmissions = {int(u): msg for u in tx_ids}
             receptions = {int(v): msg for v in hears_ids}
             rec.full_round(r, transmissions, receptions, collision_ids)
         else:
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds={"source": int(tx_ids.size)},
-                fixed_bits=0,
-                payload_messages=int(tx_ids.size),
-                informed=hears_ids,
-                ack_hearers=(),
-            )
-        stop_round = r
+            agg.add_channel(tx_ids, hears_ids, collision_ids)
+            agg.add_tx(tx_ids, _K_SOURCE)
+            agg.mark_informed(hears_ids, r)
         if completion is None and informed_count == n:
             completion = r
         if task.stop_rule == "all_informed" and informed_count == n:
-            stop_reason = "condition"
+            stop_round, stop_reason = r, "condition"
             break
 
     sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
+        trace=_finish(rec, agg, stop_round),
+        nodes=[],
+        stop_round=stop_round,
+        stop_reason=stop_reason,
     )
     return BackendResult(simulation=sim, derived={"completion_round": completion})
 
 
 def _run_slotted_kernel(task: SimulationTask, channel=None) -> BackendResult:
     """Round-robin / G²-colouring TDMA: informed node of slot s transmits at r ≡ s."""
-    slots, periods = _parse_slot_labels(task.labels, task.graph.n)
-    slot_residue = slots % periods
-
-    def tx_mask(r: int, informed: np.ndarray) -> np.ndarray:
-        return informed & ((r % periods) == slot_residue)
-
-    return _run_source_flood(task, tx_mask, channel=channel)
+    return _run_source_flood(
+        task, _SlotCalendar(task.labels, task.graph.n), channel=channel
+    )
 
 
 def _run_collision_detection_kernel(task: SimulationTask) -> BackendResult:
@@ -865,19 +1203,9 @@ def _run_centralized_kernel(task: SimulationTask) -> BackendResult:
     :class:`~repro.baselines.centralized.ScheduledNode`, which transmits in
     its scheduled rounds provided it already knows µ.
     """
-    n = task.graph.n
-    schedule = [
-        np.asarray(round_ids, dtype=np.int64)
-        for round_ids in task.extras.get("schedule", ())
-    ]
-
-    def tx_mask(r: int, informed: np.ndarray) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        if r <= len(schedule):
-            mask[schedule[r - 1]] = True
-        return mask & informed
-
-    return _run_source_flood(task, tx_mask)
+    return _run_source_flood(
+        task, _ScheduleCalendar(task.extras.get("schedule", ()))
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -267,6 +267,11 @@ class Graph:
         return frozenset(self.edges())
 
     @cached_property
+    def _source_radii(self) -> Dict[int, int]:
+        """Memo of :func:`~repro.graphs.properties.source_radius` by source."""
+        return {}
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.n, self._csr_indptr.tobytes(), self._csr_indices.tobytes()))
 

@@ -55,11 +55,18 @@ def center(graph: Graph) -> List[int]:
 
 
 def source_radius(graph: Graph, source: int) -> int:
-    """Eccentricity of the source — the paper's ``D`` in ``O(D + log² n)`` bounds."""
-    dist = bfs_distances(graph, source)
-    if (dist < 0).any():
-        raise GraphError("source radius is undefined on a disconnected graph")
-    return int(dist.max(initial=0))
+    """Eccentricity of the source — the paper's ``D`` in ``O(D + log² n)`` bounds.
+
+    Memoised per graph and source (graphs are immutable), so every result row
+    of one instance shares one BFS.
+    """
+    memo = graph._source_radii
+    if source not in memo:
+        dist = bfs_distances(graph, source)
+        if (dist < 0).any():
+            raise GraphError("source radius is undefined on a disconnected graph")
+        memo[source] = int(dist.max(initial=0))
+    return memo[source]
 
 
 def graph_square(graph: Graph) -> Graph:
@@ -73,15 +80,32 @@ def graph_square(graph: Graph) -> Graph:
 
 
 def graph_power(graph: Graph, k: int) -> Graph:
-    """The k-th power ``G^k``: nodes adjacent iff their distance in ``G`` is in 1..k."""
+    """The k-th power ``G^k``: nodes adjacent iff their distance in ``G`` is in 1..k.
+
+    Each node's ball of radius k comes from a BFS cut off at depth k over
+    plain-int neighbour lists, so the cost is the sum of the balls' sizes
+    rather than n full BFS runs and n² pair checks.
+    """
     if k < 1:
         raise GraphError(f"graph power requires k >= 1, got {k}")
+    indptr, indices = graph.csr()
+    ptr, idx = indptr.tolist(), indices.tolist()
+    adj = [idx[ptr[u] : ptr[u + 1]] for u in range(graph.n)]
     edges: List[Tuple[int, int]] = []
     for u in range(graph.n):
-        dist = bfs_distances(graph, u)
-        for v in range(u + 1, graph.n):
-            if 0 < dist[v] <= k:
-                edges.append((u, v))
+        seen = {u}
+        frontier = [u]
+        for _ in range(k):
+            nxt = []
+            for w in frontier:
+                for x in adj[w]:
+                    if x not in seen:
+                        seen.add(x)
+                        nxt.append(x)
+            if not nxt:
+                break
+            frontier = nxt
+        edges.extend((u, v) for v in seen if v > u)
     return Graph.from_edges(graph.n, edges)
 
 

@@ -326,7 +326,7 @@ class ExecutionTrace:
         trace._informed_first = {int(v): int(r) for v, r in (informed_first or {}).items()}
         trace._ack_first = {int(v): int(r) for v, r in (ack_first or {}).items()}
         trace._ack_last = {int(v): int(r) for v, r in (ack_last or {}).items()}
-        trace._pending -= set(trace._informed_first)
+        trace._pending.difference_update(trace._informed_first)
         if source is not None and not trace._pending and trace._num_rounds >= 1:
             non_source = [r for v, r in trace._informed_first.items() if v != source]
             trace._completion_round = max(non_source) if non_source else 1

@@ -5,7 +5,8 @@ construction, of the dense random-graph generators, of the graph itself and
 of its traversals: every frontier is recomputed as ``UNINF_i ∩ Γ(INF_i)``,
 every candidate scans every target, the random generators materialize the
 full ``n × n`` matrix, a graph is built with a Python set insert per edge and
-a CSR slice write per node, and BFS walks NumPy scalars off the CSR arrays.
+a CSR slice write per node, BFS walks NumPy scalars off the CSR arrays, and
+the graph power runs a full BFS per node and checks all n² pairs.
 They are slow (quadratic, or a Python object operation per edge) but
 obviously faithful to the definitions, so the optimized library code must
 reproduce them bit for bit.
@@ -300,3 +301,16 @@ def connected_components(graph: Graph) -> List[List[int]]:
 
 def is_connected(graph: Graph) -> bool:
     return graph.n == 0 or int((bfs_distances(graph, 0) >= 0).sum()) == graph.n
+
+
+def graph_power(graph: Graph, k: int) -> Graph:
+    """``G^k`` from a full BFS per node and a check of all n² pairs."""
+    if k < 1:
+        raise GraphError(f"graph power requires k >= 1, got {k}")
+    edges: List[Tuple[int, int]] = []
+    for u in range(graph.n):
+        dist = bfs_distances(graph, u)
+        for v in range(u + 1, graph.n):
+            if 0 < dist[v] <= k:
+                edges.append((u, v))
+    return Graph.from_edges(graph.n, edges)

@@ -150,3 +150,30 @@ class TestEndToEnd:
 
         outcome = run_arbitrary_source_broadcast(Graph.empty(1), true_source=0)
         assert outcome.completed
+
+
+class TestDefaultBudget:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the 12n + 30 default budget is below the 14n - 20 rounds B_arb "
+        "needs on a path with the source and the coordinator at opposite ends "
+        "(876 > 798 at n = 64); raising it changes recorded benchmark rows",
+    )
+    def test_path_with_far_coordinator_completes_within_the_default_budget(self):
+        from repro.api.schemes import get_scheme
+        from repro.backends import VectorizedBackend
+
+        scheme = get_scheme("lambda_arb")
+        graph = path_graph(64)
+        source = 0
+        info = scheme.build_labels(graph, source, **scheme.grid_options(graph, source))
+        assert info.labeling.coordinator == graph.n - 1
+        task = scheme.build_task(
+            graph, info, source, payload="MSG",
+            max_rounds=scheme.default_budget(graph, info), trace_level="summary",
+            fault_model=None, clock_model=None,
+        )
+        result = VectorizedBackend(strict=True).run_task(task)
+        outcome = scheme.derive_outcome(graph, task, result, info)
+        assert outcome.completion_round is not None
+        assert result.simulation.stop_reason == "condition"

@@ -1,10 +1,12 @@
-"""The CSR-first graph, its traversals and the band geometric sweep against oracles.
+"""The CSR-first graph, its traversals, graph powers and the band geometric
+sweep against oracles.
 
 ``tests/oracles.py`` keeps the set-based graph (a Python set insert per edge,
 a CSR slice write per node, an eager edge set), the BFS that walks NumPy
-scalars off the CSR arrays, and the dense ``n × n`` geometric comparison.
-The array-built :class:`Graph`, the plain-int BFS and the x-band geometric
-sweep must reproduce them exactly, errors included.
+scalars off the CSR arrays, the graph power built from a full BFS per node,
+and the dense ``n × n`` geometric comparison.  The array-built
+:class:`Graph`, the plain-int BFS, the depth-limited graph power and the
+x-band geometric sweep must reproduce them exactly, errors included.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repro.graphs import Graph, GraphError, generators, traversal
+from repro.graphs import Graph, GraphError, generators, properties, traversal
 from repro.graphs.generators import family_names, generate_family
 
 Case = Tuple[int, List[Tuple[int, int]], Optional[List[str]]]
@@ -197,6 +199,37 @@ class TestTraversalsMatchScalarBfs:
         graph = Graph.from_edges(4, [(0, 1), (2, 3)])
         _same_error(_outcome(lambda: traversal.shortest_path(graph, 0, 9))[1],
                     _outcome(lambda: oracles.shortest_path(graph, 0, 9))[1])
+
+
+# --------------------------------------------------------------------------- #
+# graph powers: depth-limited balls against a full BFS per node
+# --------------------------------------------------------------------------- #
+class TestGraphPowerMatchesFullBfs:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=graphs(), k=st.integers(1, 3))
+    def test_hypothesis_graphs(self, graph: Graph, k: int):
+        assert properties.graph_power(graph, k) == oracles.graph_power(graph, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", family_names())
+    def test_every_family(self, family, k):
+        graph = generate_family(family, 40, 2)
+        assert properties.graph_power(graph, k) == oracles.graph_power(graph, k)
+
+    def test_square_is_the_second_power(self):
+        graph = generate_family("caterpillar", 50, 1)
+        assert properties.graph_square(graph) == oracles.graph_power(graph, 2)
+        assert properties.graph_power(graph, 1) == graph
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_power_errors(self, k):
+        graph = Graph.from_edges(3, [(0, 1)])
+        _same_error(_outcome(lambda: properties.graph_power(graph, k))[1],
+                    _outcome(lambda: oracles.graph_power(graph, k))[1])
+
+    def test_empty_graph(self):
+        graph = Graph.empty(0)
+        assert properties.graph_power(graph, 2) == oracles.graph_power(graph, 2)
 
 
 # --------------------------------------------------------------------------- #
